@@ -117,11 +117,11 @@ def test_parallel_runner_contract(artifacts, tmp_path):
         "warm_cache_s": round(warm_cache_s, 4),
         "warm_fraction": round(warm_fraction, 4),
         "contracts": {
-            "warm_fraction_ceiling": WARM_FRACTION_CEILING,
-            "speedup_floor": SPEEDUP_FLOOR,
-            "speedup_enforced": cpus >= MIN_CPUS_FOR_SPEEDUP,
+            "ratio_ceilings": {"warm_fraction": WARM_FRACTION_CEILING},
         },
     }
+    if cpus >= MIN_CPUS_FOR_SPEEDUP:
+        doc["contracts"]["ratio_floors"] = {"speedup": SPEEDUP_FLOOR}
     save_artifact(artifacts, "BENCH_parallel_runner.json",
                   json.dumps(doc, indent=2, sort_keys=True))
     save_artifact(artifacts, "BENCH_parallel_runner.txt", "\n".join([

@@ -42,33 +42,6 @@ DEFAULT_RETRY = RetryPolicy(max_attempts=5, base_delay=0.05,
 DEADLINE_GRACE_S = 2.0
 
 
-#: responses a *failover-aware* caller treats as "go ask another
-#: node" rather than "retry here": explicit backpressure and expired
-#: deadlines — both mean this node cannot answer in time, and in a
-#: replicated cluster some other replica usually can
-FAILOVER_CODES = frozenset({protocol.ERR_OVERLOADED,
-                            protocol.ERR_DEADLINE})
-
-
-def is_failover_response(doc: dict) -> bool:
-    """Should a cluster client try the next replica after ``doc``?
-
-    True for ``overloaded``/``deadline`` errors, and for a successful
-    ``healthz`` whose status is not ``"ok"`` (``degraded`` or
-    ``draining``) — the server's own advice to route elsewhere.
-    """
-    code = protocol.response_error_code(doc)
-    if code in FAILOVER_CODES:
-        return True
-    result = doc.get("result")
-    if isinstance(result, dict) and "status" in result \
-            and ("queue_limit" in result or "role" in result):
-        # a healthz document (server or cluster-manager shaped) —
-        # not an arbitrary payload that happens to carry 'status'
-        return result.get("status") != "ok"
-    return False
-
-
 class ServeConnectionError(ReproError):
     """Could not complete an exchange within the retry budget."""
 
@@ -203,9 +176,7 @@ def request_sync(host: str, port: int, endpoint: str,
 __all__ = [
     "DEADLINE_GRACE_S",
     "DEFAULT_RETRY",
-    "FAILOVER_CODES",
     "ServeClient",
     "ServeConnectionError",
-    "is_failover_response",
     "request_sync",
 ]

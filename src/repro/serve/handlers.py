@@ -1,11 +1,12 @@
 """Endpoints of the analysis service: the existing pipeline as queries.
 
-Every compute endpoint resolves its parameters to the **same cache
-key** the batch CLI uses for the same work (``cell`` produces
-``study-cell`` keys, ``chaos`` produces ``chaos-variant`` keys), so
-the server is a read-through front end over ``.repro-cache/``: a cell
-computed by ``python -m repro.study all`` is a warm hit for the
-service, and vice versa.  Key derivation goes through
+Every compute endpoint the batch CLI shares (``cell``, ``chaos``,
+``staticcheck``) builds its cell with the **same key builder** the
+batch path uses (:mod:`repro.study.parallel`: ``study_cell``,
+``chaos_variant``, ``staticcheck_cell``), so the server is a
+read-through front end over ``.repro-cache/``: a cell computed by
+``python -m repro.study all`` is a warm hit for the service, and vice
+versa.  Key derivation goes through
 :func:`repro.study.cache.cache_key` — the injectivity the cache's
 hypothesis tests pin is exactly the coalescing correctness the server
 relies on (identical keys ⇒ identical payloads).
@@ -32,6 +33,17 @@ from typing import Any, Callable
 from repro.apps.registry import APPLICATIONS, RunVariant
 from repro.serve.protocol import BadRequest
 from repro.study.cache import cache_key
+from repro.study.parallel import (
+    CellSpec,
+    chaos_plans,
+    chaos_variant,
+    chaos_variant_task,
+    staticcheck_cell,
+    staticcheck_task,
+    study_cell,
+    study_cell_task,
+    variant_fields,
+)
 
 #: ceiling on ranks per service request — the analyses are O(nranks)
 #: traces; a query service refuses campaign-sized asks outright
@@ -55,6 +67,13 @@ class Prepared:
     @property
     def key(self) -> str:
         return cache_key(self.kind, **self.key_fields)
+
+    @classmethod
+    def batch(cls, kind: str, worker: Callable[[tuple], dict],
+              spec: CellSpec) -> "Prepared":
+        """Work the batch CLI also does, keyed by its cell builder."""
+        return cls(kind=kind, key_fields=spec.key_fields, worker=worker,
+                   task=spec.task)
 
 
 @dataclass(frozen=True)
@@ -149,12 +168,6 @@ def resolve_one_variant(selector: Any) -> RunVariant:
     return matched[0]
 
 
-def _variant_fields(variant: RunVariant) -> dict:
-    """The (label, options) identity the batch CLI keys cells on."""
-    return {"label": variant.label,
-            "options": dict(sorted(variant.options.items()))}
-
-
 # -- compute endpoints ---------------------------------------------------------
 
 
@@ -167,17 +180,12 @@ def prepare_cell(params: dict) -> Prepared:
     Keyed identically to ``study all`` cells, so the service and the
     batch matrix share one content-addressed store.
     """
-    from repro.study.parallel import study_cell_task
-
     _check_unknown(params, _CELL_PARAMS)
     variant = resolve_one_variant(params.get("app"))
     nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
     seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
-    return Prepared(
-        kind="study-cell",
-        key_fields={**_variant_fields(variant),
-                    "nranks": nranks, "seed": seed},
-        worker=study_cell_task, task=(variant, nranks, seed))
+    return Prepared.batch("study-cell", study_cell_task,
+                          study_cell(variant, nranks, seed))
 
 
 _LINT_PARAMS = ("app", "nranks", "seed", "rules")
@@ -212,7 +220,7 @@ def prepare_lint(params: dict) -> Prepared:
         rules = sorted(set(rules))
     return Prepared(
         kind="lint-cell",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
+        key_fields={**variant_fields(variant), "nranks": nranks,
                     "seed": seed, "rules": rules},
         worker=lint_task, task=(variant, nranks, seed,
                                 tuple(rules) if rules else None))
@@ -264,7 +272,7 @@ def prepare_advise(params: dict) -> Prepared:
                          f"{', '.join(_ADVISE_SEMANTICS)}")
     return Prepared(
         kind="advise-cell",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
+        key_fields={**variant_fields(variant), "nranks": nranks,
                     "seed": seed, "semantics": semantics},
         worker=advise_task, task=(variant, nranks, seed, semantics))
 
@@ -278,35 +286,16 @@ def prepare_chaos(params: dict) -> Prepared:
     Keyed identically to ``study chaos`` cells (plans, semantics and
     stripe size included), sharing the batch CLI's cache entries.
     """
-    from repro.pfs.chaos import (
-        CHAOS_SEMANTICS,
-        CHAOS_STRIPE_SIZE,
-        default_fault_plans,
-    )
-    from repro.study.parallel import chaos_variant_task
-
     _check_unknown(params, _CHAOS_PARAMS)
     variant = resolve_one_variant(params.get("app"))
     nranks = _int_param(params, "nranks", 4, 1, MAX_NRANKS)
     seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
-    plans = default_fault_plans(seed)
-    wanted = _name_list(params, "plans")
-    if wanted is not None:
-        unknown = sorted(set(wanted) - {p.name for p in plans})
-        if unknown:
-            raise BadRequest(f"unknown plan(s): {', '.join(unknown)}")
-        plans = [p for p in plans if p.name in set(wanted)]
-    plan_names = tuple(p.name for p in plans)
-    sem_names = tuple(s.name.lower() for s in CHAOS_SEMANTICS)
-    return Prepared(
-        kind="chaos-variant",
-        key_fields={**_variant_fields(variant), "nranks": nranks,
-                    "seed": seed, "plans": list(plan_names),
-                    "semantics": list(sem_names),
-                    "stripe": CHAOS_STRIPE_SIZE},
-        worker=chaos_variant_task,
-        task=(variant, nranks, seed, plan_names, sem_names,
-              CHAOS_STRIPE_SIZE))
+    try:
+        plans = chaos_plans(seed, _name_list(params, "plans"))
+    except ValueError as exc:
+        raise BadRequest(str(exc)) from exc
+    return Prepared.batch("chaos-variant", chaos_variant_task,
+                          chaos_variant(variant, nranks, seed, plans))
 
 
 _STATICCHECK_PARAMS = ("app", "nranks", "seed")
@@ -318,17 +307,12 @@ def prepare_staticcheck(params: dict) -> Prepared:
     Keyed identically to ``study staticcheck`` cells, so the service
     and the batch soundness matrix share one content-addressed store.
     """
-    from repro.study.parallel import staticcheck_task
-
     _check_unknown(params, _STATICCHECK_PARAMS)
     variant = resolve_one_variant(params.get("app"))
     nranks = _int_param(params, "nranks", 8, 1, MAX_NRANKS)
     seed = _int_param(params, "seed", 7, 0, 2**31 - 1)
-    return Prepared(
-        kind="staticcheck-cell",
-        key_fields={**_variant_fields(variant),
-                    "nranks": nranks, "seed": seed},
-        worker=staticcheck_task, task=(variant, nranks, seed))
+    return Prepared.batch("staticcheck-cell", staticcheck_task,
+                          staticcheck_cell(variant, nranks, seed))
 
 
 _SLEEP_PARAMS = ("seconds", "token")

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.study [--nranks 8] [--seed 7] [--out results/]
-                          [--jobs N]
+                          [--jobs N] [--app NAME[/LIB]]
     python -m repro.study all [--jobs N] [--format text|json]
                               [--no-cache] [--stats]
     python -m repro.study lint <app|--all> [--format text|json]
@@ -12,6 +12,7 @@ Usage::
     python -m repro.study staticcheck <app|--all> [--jobs N]
     python -m repro.study partition <app|--all> [--partitions N]
                                     [--verify] [--jobs N]
+    python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
     python -m repro.study serve [--port 0] [--queue-limit N]
@@ -20,8 +21,6 @@ Usage::
     python -m repro.study loadtest --port P [--clients N] [--seed S]
     python -m repro.study cache <stats|prune> [--max-age-days D]
                                 [--max-bytes N]
-    python -m repro.study cluster <start|worker|status|loadtest|chaos>
-                                  [options]
 
 The default mode prints Tables 1–5 and Figures 1–3 (text form) and,
 with ``--out``, writes per-run reports and Figure 2 CSV dot clouds.
@@ -41,8 +40,6 @@ code fingerprint cache keys embed (CI keys its cache restore on it).
 ``request`` issues one query against it, ``loadtest`` drives the
 seeded closed-loop load generator, and ``cache`` inspects and prunes
 the content-addressed result store — see ``docs/serving.md``.
-``cluster`` boots and operates the heartbeat-managed, shard-replicated
-multi-node cluster (:mod:`repro.cluster` — see ``docs/cluster.md``).
 
 Every matrix subcommand accepts ``--metrics FILE``: the run executes
 under a :mod:`repro.obs` registry (bypassing the result cache so the
@@ -50,6 +47,13 @@ simulator actually runs) and writes the collected counters, timers,
 and self-trace spans as JSON lines to ``FILE`` — stdout is unchanged.
 ``metrics`` renders the text dashboard for such a file (or collects
 one live with ``--collect``).
+
+Each subcommand is one :class:`Command` row in :data:`COMMANDS`: its
+options (shared groups plus its own) and a body returning the text to
+print and the exit code.  :func:`main` is the one runner: it parses,
+resolves configurations, opens the metrics scope and the result cache,
+prints, writes ``--out`` and the stderr stats line, and maps usage
+errors to exit 2.
 
 Exit codes are uniform across every subcommand:
 
@@ -63,25 +67,14 @@ Exit codes are uniform across every subcommand:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from repro.core.semantics import Semantics
-from repro.study.figures import (
-    figure1_text,
-    figure2_ascii,
-    figure2_csv,
-    figure2_text,
-    figure3_text,
-)
-from repro.study.runner import run_study
-from repro.study.tables import (
-    table1_text,
-    table2_text,
-    table3_text,
-    table4_text,
-    table5_text,
-)
 
 #: ran to completion, nothing to report
 EXIT_OK = 0
@@ -95,89 +88,157 @@ class _UsageError(Exception):
     """Invalid invocation; the message goes to stderr, exit is 2."""
 
 
-def _usage_guard(func):
-    """Give every entry point the same usage-error contract.
+class Outcome(NamedTuple):
+    """What a command body hands back to the runner."""
 
-    Each subcommand ``*_main`` is public API (tests and tools call them
-    directly, not only through :func:`main`), so each must map
-    :class:`_UsageError` to stderr + exit code 2 itself.
-    """
-    import functools
-
-    @functools.wraps(func)
-    def wrapper(argv: list[str] | None = None) -> int:
-        try:
-            return func(argv)
-        except _UsageError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
-
-    return wrapper
+    #: printed on stdout (``None``: the body printed everything itself)
+    text: str | None
+    code: int = EXIT_OK
+    #: what ``--out`` saves, when it is not ``text``
+    saved: str | None = None
 
 
-def _resolve_variants(entries: list[str] | None, all_flag: bool):
-    """Shared ``--app NAME[/LIB]`` / ``--all`` resolution.
-
-    Every subcommand resolves configurations through this one helper so
-    unknown names and empty filters fail identically (message to
-    stderr, exit code 2) across ``lint``, ``chaos``, ``crossvalidate``
-    and the single-app default mode.
-    """
-    from repro.apps.registry import APPLICATIONS, find_spec
-
-    if all_flag == bool(entries):
-        raise _UsageError("specify exactly one of --app NAME[/LIB] "
-                          "(or a NAME argument) or --all")
-    if all_flag:
-        return [v for spec in APPLICATIONS for v in spec.variants]
-    variants = []
-    for entry in entries or []:
-        name, _, lib = entry.partition("/")
-        try:
-            spec = find_spec(name)
-        except KeyError:
-            known = ", ".join(sorted(s.name for s in APPLICATIONS))
-            raise _UsageError(
-                f"unknown application {name!r}; known: {known}")
-        matched = [v for v in spec.variants
-                   if not lib or v.io_library.lower() == lib.lower()]
-        if not matched:
-            raise _UsageError(f"no variant of {spec.name} uses {lib!r}")
-        variants.extend(matched)
-    return variants
+# -- option groups -------------------------------------------------------------
 
 
-def _add_matrix_args(parser: argparse.ArgumentParser, *,
-                     nranks: int = 8) -> None:
-    """Flags shared by every matrix-shaped subcommand."""
-    parser.add_argument("--nranks", type=int, default=nranks)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the matrix "
-                             "(default 1 = serial; 0 = one per CPU)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update .repro-cache/")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="result cache root (default "
-                             ".repro-cache/ or $REPRO_CACHE_DIR)")
-    parser.add_argument("--metrics", type=Path, default=None,
-                        metavar="FILE",
-                        help="collect simulator metrics and write them "
-                             "as JSON lines to FILE (implies "
-                             "--no-cache; the report itself is "
-                             "unchanged)")
+def _opt(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
 
 
-def _matrix_cache(args: argparse.Namespace):
-    from repro.study.cache import ResultCache
+def _run_opts(nranks: int = 8) -> tuple:
+    return (_opt("--nranks", type=int, default=nranks,
+                 help="MPI ranks per run (default %(default)s)"),
+            _opt("--seed", type=int, default=7))
 
-    if getattr(args, "metrics", None) is not None:
-        # a cached cell never runs the simulator, so a metrics run
-        # bypasses the cache entirely — the instruments must fire
-        return ResultCache.disabled()
-    return ResultCache.from_options(cache_dir=args.cache_dir,
-                                    no_cache=args.no_cache)
+
+_ALL = _opt("--all", action="store_true",
+            help="use every registered configuration")
+#: a ``NAME[/LIB]`` argument or ``--all``
+_TARGET = (_opt("app", nargs="?", metavar="NAME[/LIB]",
+                help="configuration (e.g. FLASH or LAMMPS/ADIOS); omit "
+                     "with --all"),
+           _ALL)
+_JOBS = (_opt("--jobs", type=int, default=1, metavar="N",
+              help="worker processes for the matrix (default 1 = "
+                   "serial; 0 = one per CPU)"),)
+_CACHE = (_opt("--no-cache", action="store_true",
+               help="ignore and do not update .repro-cache/"),
+          _opt("--cache-dir", type=Path, default=None, metavar="DIR",
+               help="result cache root (default .repro-cache/ or "
+                    "$REPRO_CACHE_DIR)"))
+#: flags shared by every matrix-shaped subcommand
+_MATRIX = _JOBS + _CACHE + (
+    _opt("--metrics", type=Path, default=None, metavar="FILE",
+         help="collect simulator metrics and write them as JSON lines "
+              "to FILE (implies --no-cache; the report itself is "
+              "unchanged)"),)
+_FORMAT = (_opt("--format", choices=("text", "json"), default="text"),)
+_STATS = (_opt("--stats", action="store_true",
+               help="print per-cell timing/cache provenance to stderr"),)
+_OUT = (_opt("--out", type=Path, default=None,
+             help="also write the report to this file"),)
+_HOST = (_opt("--host", default="127.0.0.1"),)
+_PORT = (_opt("--port", type=int, default=None),)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: how it is invoked and what it does."""
+
+    name: str
+    description: str
+    body: Callable[["_Invocation"], Outcome]
+    options: tuple = ()
+    #: ``(flag, help, render)``: print ``render(args)`` and exit 0
+    #: before anything else runs
+    listing: tuple[str, str, Callable] | None = None
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(
+            prog=f"python -m repro.study {self.name}".rstrip(),
+            description=self.description)
+        for flags, kwargs in self.options:
+            parser.add_argument(*flags, **kwargs)
+        if self.listing is not None:
+            parser.add_argument(self.listing[0], dest="listing",
+                                action="store_true", help=self.listing[1])
+        return parser
+
+
+# -- the runner ----------------------------------------------------------------
+
+
+class _Invocation:
+    """One parsed command line plus the state its body shares with the
+    runner: resolved configurations, the result cache, the job count,
+    and the matrix run behind the stderr stats line."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        self.run = None
+
+    @cached_property
+    def variants(self) -> list:
+        """Configurations from ``NAME``, ``--app`` or ``--all``.
+
+        Unknown names and empty filters fail identically (message to
+        stderr, exit code 2) in every subcommand.  Without an ``--all``
+        flag (the default mode), no ``--app`` means every configuration.
+        """
+        from repro.apps.registry import APPLICATIONS, all_variants, find_spec
+
+        app = self.args.app
+        entries = app if isinstance(app, list) else [app] if app else None
+        if getattr(self.args, "all", app is None) == bool(entries):
+            raise _UsageError("specify exactly one of --app NAME[/LIB] "
+                              "(or a NAME argument) or --all")
+        if not entries:
+            return all_variants()
+        variants = []
+        for entry in entries:
+            name, _, lib = entry.partition("/")
+            try:
+                spec = find_spec(name)
+            except KeyError:
+                known = ", ".join(sorted(s.name for s in APPLICATIONS))
+                raise _UsageError(
+                    f"unknown application {name!r}; known: {known}")
+            matched = [v for v in spec.variants
+                       if not lib or v.io_library.lower() == lib.lower()]
+            if not matched:
+                raise _UsageError(
+                    f"no variant of {spec.name} uses {lib!r}")
+            variants.extend(matched)
+        return variants
+
+    @cached_property
+    def cache(self):
+        from repro.study.cache import ResultCache
+
+        if getattr(self.args, "metrics", None) is not None:
+            # a cached cell never runs the simulator, so a metrics run
+            # bypasses the cache entirely — the instruments must fire
+            return ResultCache.disabled()
+        return ResultCache.from_options(
+            cache_dir=self.args.cache_dir,
+            no_cache=getattr(self.args, "no_cache", False))
+
+    @property
+    def jobs(self) -> int:
+        from repro.study.parallel import resolve_jobs
+
+        jobs = self.args.jobs
+        return resolve_jobs(None) if jobs == 0 else max(1, jobs)
+
+    def matrix(self, kind: str, specs: list, worker):
+        """:func:`repro.study.parallel.run_matrix` over this
+        invocation's jobs and cache; reported on the stats line."""
+        from repro.study.parallel import run_matrix
+
+        self.run = run_matrix(kind, specs, worker, jobs=self.jobs,
+                              cache=self.cache)
+        return self.run
 
 
 def _metrics_scope(args: argparse.Namespace):
@@ -188,31 +249,65 @@ def _metrics_scope(args: argparse.Namespace):
     written on normal exit (a usage error leaves no partial file);
     the report on stdout is the same bytes either way.
     """
-    from contextlib import contextmanager
+    from contextlib import contextmanager, nullcontext
 
     from repro.obs import registry as obs
 
+    target = getattr(args, "metrics", None)
+    if target is None:
+        return nullcontext()
+
     @contextmanager
     def scope():
-        if args.metrics is None:
-            yield None
-            return
         from repro.obs.export import to_jsonl
 
         with obs.collecting(trace=True) as reg:
             yield reg
-            args.metrics.parent.mkdir(parents=True, exist_ok=True)
-            args.metrics.write_text(to_jsonl(reg))
-            print(f"[metrics: {len(reg)} instruments -> "
-                  f"{args.metrics}]", file=sys.stderr)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(to_jsonl(reg))
+            print(f"[metrics: {len(reg)} instruments -> {target}]",
+                  file=sys.stderr)
 
     return scope()
 
 
-def _matrix_jobs(args: argparse.Namespace) -> int:
-    from repro.study.parallel import resolve_jobs
+def _execute(command: Command, argv: list[str]) -> int:
+    args = command.parser().parse_args(argv)
+    if getattr(args, "listing", False):
+        print(command.listing[2](args))
+        return EXIT_OK
+    inv = _Invocation(args)
+    with _metrics_scope(args):
+        outcome = command.body(inv)
+        if outcome.text is not None:
+            print(outcome.text)
+            if getattr(args, "out", None) is not None:
+                args.out.parent.mkdir(parents=True, exist_ok=True)
+                args.out.write_text((outcome.saved or outcome.text)
+                                    + "\n")
+        if inv.run is not None:
+            # stats go to stderr, never into the payload: keeping
+            # stdout pure is what lets the determinism tests (and CI
+            # artifact diffs) demand byte-identical reports regardless
+            # of jobs count or cache temperature
+            print(f"[{inv.run.summary()}; cache: "
+                  f"{inv.cache.stats.summary()}]", file=sys.stderr)
+            if getattr(args, "stats", False):
+                print(inv.run.timing_table(), file=sys.stderr)
+    return outcome.code
 
-    return resolve_jobs(None) if args.jobs == 0 else max(1, args.jobs)
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``python -m repro.study`` invocation; return its exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = COMMANDS.get(argv[0]) if argv else None
+    try:
+        if command is None:
+            return _execute(DEFAULT, argv)
+        return _execute(command, argv[1:])
+    except _UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _check_partitions(partitions: int, nranks: int) -> int:
@@ -226,216 +321,94 @@ def _check_partitions(partitions: int, nranks: int) -> int:
     return partitions
 
 
-def _print_matrix_stats(run, cache, *, show_cells: bool) -> None:
-    """Cache-hit and timing stats — on stderr, never in the payload.
-
-    Keeping stdout pure is what lets the determinism tests (and CI
-    artifact diffs) demand byte-identical reports regardless of jobs
-    count or cache temperature.
-    """
-    print(f"[{run.summary()}; cache: {cache.stats.summary()}]",
-          file=sys.stderr)
-    if show_cells:
-        print(run.timing_table(), file=sys.stderr)
+def _require_port(args: argparse.Namespace) -> None:
+    if args.port is None:
+        raise _UsageError("--port is required (see the server's "
+                          "ready line)")
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    commands = {
-        "all": all_main,
-        "lint": lint_main,
-        "chaos": chaos_main,
-        "crossvalidate": crossvalidate_main,
-        "staticcheck": staticcheck_main,
-        "partition": partition_main,
-        "fingerprint": fingerprint_main,
-        "roundtrip": roundtrip_main,
-        "metrics": metrics_main,
-        "serve": serve_main,
-        "request": request_main,
-        "loadtest": loadtest_main,
-        "cache": cache_main,
-        "cluster": cluster_main,
-    }
-    try:
-        if argv and argv[0] in commands:
-            return commands[argv[0]](argv[1:])
-        return _tables_main(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+# -- the paper's tables and figures --------------------------------------------
 
 
-def _tables_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study",
-        description="Regenerate the paper's tables and figures from "
-                    "fresh simulated traces.")
-    parser.add_argument("--nranks", type=int, default=8,
-                        help="MPI ranks per run (default 8; the paper "
-                             "used 64 and 1024)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for tracing the matrix "
-                             "(default 1 = serial; 0 = one per CPU)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="directory for per-run reports and CSVs")
-    parser.add_argument("--app", default=None, metavar="NAME[/LIB]",
-                        help="analyze a single application instead of "
-                             "the full study (e.g. FLASH or LAMMPS/ADIOS)")
-    args = parser.parse_args(argv)
+def _tables(inv: _Invocation) -> Outcome:
+    from repro.study.compat import compat_text
+    from repro.study.figures import (
+        figure1_text,
+        figure2_ascii,
+        figure2_csv,
+        figure2_text,
+        figure3_text,
+    )
+    from repro.study.runner import run_study
+    from repro.study.tables import (
+        table1_text,
+        table2_text,
+        table3_text,
+        table4_text,
+        table5_text,
+    )
 
+    args = inv.args
     if args.app is not None:
-        return _single_app(args)
+        return _single_app(inv)
+    variants = inv.variants
+    # the preamble prints before the long run as progress
+    print(f"{table1_text()}\n\n{table2_text()}\n\n{table5_text()}\n")
+    print(f"Running the {len(variants)} configurations at {args.nranks} "
+          f"ranks ...", flush=True)
+    results = run_study(nranks=args.nranks, seed=args.seed,
+                        variants=variants, jobs=inv.jobs)
 
-    print(table1_text())
-    print()
-    print(table2_text())
-    print()
-    print(table5_text())
-    print()
-
-    print(f"Running the 25 configurations at {args.nranks} ranks ...",
-          flush=True)
-    jobs = _matrix_jobs(args) if hasattr(args, "jobs") else 1
-    results = run_study(nranks=args.nranks, seed=args.seed, jobs=jobs)
-
-    print()
-    print(table3_text(results))
-    print()
-    print(table4_text(results))
-    print()
-    print(figure1_text(results))
-    print()
     fbs = results.find("FLASH-HDF5 fbs")
     nofbs = results.find("FLASH-HDF5 nofbs")
-    print(figure2_text(fbs, nofbs))
-    print()
-    print(figure2_ascii(fbs, nofbs))
-    print()
-    print(figure3_text(results))
-
-    from repro.study.compat import compat_text
-    print()
-    print(compat_text(results))
-
     clean = sum(
         1 for run in results
         if not run.report.conflicts(Semantics.SESSION).cross_process_only)
-    print()
-    print(f"{clean} of {len(results)} configurations are free of "
-          f"cross-process conflicts under session semantics.")
-
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
+    parts = ["", table3_text(results), "", table4_text(results), "",
+             figure1_text(results), "", figure2_text(fbs, nofbs), "",
+             figure2_ascii(fbs, nofbs), "", figure3_text(results), "",
+             compat_text(results), "",
+             f"{clean} of {len(results)} configurations are free of "
+             f"cross-process conflicts under session semantics."]
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         for run in results:
-            name = run.label.replace("/", "_").replace(" ", "_")
-            (args.out / f"{name}.report.txt").write_text(
-                run.report.to_text() + "\n")
-            run.trace.to_jsonl(args.out / f"{name}.trace.jsonl")
-        paths = figure2_csv(fbs, nofbs, args.out)
-        print(f"wrote {len(results)} reports+traces and "
-              f"{len(paths)} figure-2 CSVs to {args.out}/")
-    return EXIT_OK
+            _save_run(args.out_dir, run.label, run.report, run.trace)
+        paths = figure2_csv(fbs, nofbs, args.out_dir)
+        parts.append(f"wrote {len(results)} reports+traces and "
+                     f"{len(paths)} figure-2 CSVs to {args.out_dir}/")
+    return Outcome("\n".join(parts))
 
 
-def _single_app(args: argparse.Namespace) -> int:
+def _save_run(out_dir: Path, label: str, report, trace) -> str:
+    name = label.replace("/", "_").replace(" ", "_")
+    (out_dir / f"{name}.report.txt").write_text(report.to_text() + "\n")
+    trace.to_jsonl(out_dir / f"{name}.trace.jsonl")
+    return name
+
+
+def _single_app(inv: _Invocation) -> Outcome:
     from repro.core.report import analyze
+    from repro.core.timeline import conflict_timelines
+    from repro.tracer.recorder_format import to_recorder_text
 
-    variants = _resolve_variants([args.app], all_flag=False)
-    for variant in variants:
+    args = inv.args
+    parts = []
+    for variant in inv.variants:
         trace = variant.run(nranks=args.nranks, seed=args.seed)
         report = analyze(trace)
-        print(report.to_text())
-        print()
-        print(report.profile.to_text())
-        print()
-        from repro.core.timeline import conflict_timelines
+        parts += [report.to_text(), "", report.profile.to_text(), ""]
         session = report.conflicts(Semantics.SESSION)
         if session:
-            print(conflict_timelines(trace, session, max_files=2))
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            safe = variant.label.replace("/", "_").replace(" ", "_")
-            (args.out / f"{safe}.report.txt").write_text(
-                report.to_text() + "\n")
-            trace.to_jsonl(args.out / f"{safe}.trace.jsonl")
-            from repro.tracer.recorder_format import to_recorder_text
-            to_recorder_text(trace, args.out / f"{safe}.trace.txt")
-    return EXIT_OK
+            parts.append(conflict_timelines(trace, session, max_files=2))
+        if args.out_dir is not None:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            name = _save_run(args.out_dir, variant.label, report, trace)
+            to_recorder_text(trace, args.out_dir / f"{name}.trace.txt")
+    return Outcome("\n".join(parts))
 
 
-@_usage_guard
-def all_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study all`` — the matrix as summary cells.
-
-    The incremental, parallel face of the campaign: one JSON-able
-    summary per configuration, fanned out over ``--jobs`` workers and
-    served from the result cache when the cell parameters and the code
-    fingerprint are unchanged.  Output on stdout is byte-identical for
-    every jobs/cache combination; stats go to stderr.
-    """
-    from repro.study.runner import matrix_json, study_cells
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study all",
-        description="Evaluate every registered configuration into "
-                    "summary cells (parallel + cached).")
-    _add_matrix_args(parser)
-    parser.add_argument("--partitions", type=int, default=1, metavar="N",
-                        help="trace each cell with the partitioned "
-                             "multi-process engine split across N "
-                             "worker subprocesses (default 1 = the "
-                             "single-process engine; byte-identical "
-                             "either way)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--workflows", action="store_true",
-                        help="append the canonical producer/consumer "
-                             "workflow cell to the matrix")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
-    partitions = _check_partitions(args.partitions, args.nranks)
-
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        jobs = _matrix_jobs(args)
-        run = study_cells(nranks=args.nranks, seed=args.seed, jobs=jobs,
-                          cache=cache, partitions=partitions)
-        cells = list(run.payloads)
-
-        if args.workflows:
-            from repro.study.cache import cache_key
-            from repro.study.parallel import (
-                CellSpec,
-                run_matrix,
-                workflow_task,
-            )
-
-            wf = run_matrix(
-                "workflow-cell",
-                [CellSpec(key_fields={"producer_ranks": 4,
-                                      "reader_ranks": 2,
-                                      "seed": args.seed},
-                          task=(4, 2, args.seed))],
-                workflow_task, jobs=1, cache=cache)
-            cells.extend(wf.payloads)
-            run.outcomes.extend(wf.outcomes)
-
-        if args.format == "json":
-            text = matrix_json(cells, nranks=args.nranks, seed=args.seed)
-        else:
-            text = _matrix_text(cells)
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK
+# -- matrix subcommands --------------------------------------------------------
 
 
 def _matrix_text(cells: list[dict]) -> str:
@@ -459,14 +432,61 @@ def _matrix_text(cells: list[dict]) -> str:
     return "\n".join(lines)
 
 
-@_usage_guard
-def lint_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study lint`` — the static semantics linter.
+def _summary_text(args: argparse.Namespace, cells: list[dict]) -> Outcome:
+    """``study all``-shaped summary cells as text or JSON."""
+    from repro.study.runner import matrix_json
 
-    Exit codes: 0 no ERROR diagnostics, 1 at least one ERROR, 2 usage.
+    if args.format == "json":
+        return Outcome(matrix_json(cells, nranks=args.nranks,
+                                   seed=args.seed))
+    return Outcome(_matrix_text(cells))
+
+
+def _all(inv: _Invocation) -> Outcome:
+    """The matrix as summary cells, parallel and cached.
+
+    One JSON-able summary per configuration, fanned out over ``--jobs``
+    workers and served from the result cache when the cell parameters
+    and the code fingerprint are unchanged.  Output on stdout is
+    byte-identical for every jobs/cache combination; stats go to
+    stderr.
     """
+    from repro.study.parallel import run_matrix, workflow_cell, workflow_task
+    from repro.study.runner import study_cells
+
+    args = inv.args
+    partitions = _check_partitions(args.partitions, args.nranks)
+    inv.run = study_cells(nranks=args.nranks, seed=args.seed,
+                          jobs=inv.jobs, cache=inv.cache,
+                          partitions=partitions)
+    cells = list(inv.run.payloads)
+    if args.workflows:
+        wf = run_matrix("workflow-cell", [workflow_cell(4, 2, args.seed)],
+                        workflow_task, jobs=1, cache=inv.cache)
+        cells.extend(wf.payloads)
+        inv.run.outcomes.extend(wf.outcomes)
+    return _summary_text(args, cells)
+
+
+def _cells_document(inv: _Invocation, cells: list[dict], ok: bool,
+                    render: Callable[[list[dict]], str],
+                    **extra) -> Outcome:
+    """A verdict matrix as its JSON document or text table; exit 1
+    unless every cell is ``ok``."""
+    args = inv.args
+    if args.format == "json":
+        text = json.dumps({"nranks": args.nranks, "seed": args.seed,
+                           **extra, "cells": cells, "ok": ok},
+                          sort_keys=True, indent=2)
+    else:
+        text = render(cells)
+    return Outcome(text, EXIT_OK if ok else EXIT_FINDINGS)
+
+
+def _lint(inv: _Invocation) -> Outcome:
+    """The static semantics linter: exit 1 on any ERROR diagnostic."""
     from repro.errors import LintError
-    from repro.lint import all_rules, lint_variant
+    from repro.lint import lint_variant
     from repro.lint.reporters import (
         render_json,
         render_study_json,
@@ -474,44 +494,16 @@ def lint_main(argv: list[str] | None = None) -> int:
         render_text,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study lint",
-        description="Statically lint application traces for "
-                    "consistency-semantics hazards (no PFS replay).")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="application to lint (e.g. FLASH or "
-                             "LAMMPS/ADIOS); omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="lint every registered configuration")
-    parser.add_argument("--nranks", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--rules", default=None, metavar="R1,R2",
-                        help="comma-separated rule names/ids to run "
-                             "(default: all)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id}  {rule.name:26s} {rule.summary}")
-        return EXIT_OK
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
+    args = inv.args
+    variants = inv.variants
     rules = ([r.strip() for r in args.rules.split(",") if r.strip()]
              if args.rules else None)
-
     try:
         reports = [lint_variant(v, nranks=args.nranks, seed=args.seed,
                                 rules=rules)
                    for v in variants]
     except LintError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(str(exc))
 
     if args.format == "json":
         text = (render_study_json(reports, nranks=args.nranks,
@@ -521,490 +513,188 @@ def lint_main(argv: list[str] | None = None) -> int:
     else:
         text = (render_study_text(reports) if args.all
                 else "\n\n".join(render_text(r) for r in reports))
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    return EXIT_FINDINGS if any(r.errors for r in reports) else EXIT_OK
+    return Outcome(text, EXIT_FINDINGS if any(r.errors for r in reports)
+                   else EXIT_OK)
 
 
-@_usage_guard
-def chaos_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study chaos`` — fault-matrix replay.
+def _rule_catalogue(args: argparse.Namespace) -> str:
+    from repro.lint import all_rules
 
-    Exit codes: 0 every cell sound, 1 at least one contract violation
-    or unattributed corruption, 2 usage.
-    """
-    from repro.pfs.chaos import (
-        CHAOS_SEMANTICS,
-        CHAOS_STRIPE_SIZE,
-        ChaosCell,
-        ChaosReport,
-        default_fault_plans,
-    )
+    return "\n".join(f"{rule.id}  {rule.name:26s} {rule.summary}"
+                     for rule in all_rules())
+
+
+def _chaos(inv: _Invocation) -> Outcome:
+    """Fault-matrix replay: exit 1 on a contract violation or an
+    unattributed corruption."""
+    from repro.pfs.chaos import ChaosCell, ChaosReport
     from repro.study.parallel import (
-        CellSpec,
+        chaos_plans,
+        chaos_variant,
         chaos_variant_task,
-        run_matrix,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study chaos",
-        description="Replay application traces under a deterministic "
-                    "fault matrix and audit crash recovery against the "
-                    "per-semantics durability contract.")
-    parser.add_argument("--app", action="append", default=None,
-                        metavar="NAME[/LIB]",
-                        help="configuration to test (repeatable, e.g. "
-                             "--app FLASH --app LAMMPS/ADIOS)")
-    parser.add_argument("--all", action="store_true",
-                        help="test every registered configuration")
-    _add_matrix_args(parser, nranks=4)
-    parser.add_argument("--plans", default=None, metavar="P1,P2",
-                        help="subset of plan names to run (default: "
-                             "the full matrix; see --list-plans)")
-    parser.add_argument("--list-plans", action="store_true",
-                        help="print the default fault plans and exit")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
+    args = inv.args
+    variants = inv.variants
+    wanted = None if args.plans is None else \
+        {p.strip() for p in args.plans.split(",") if p.strip()}
+    try:
+        plans = chaos_plans(args.seed, wanted)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    run = inv.matrix(
+        "chaos-variant",
+        [chaos_variant(v, args.nranks, args.seed, plans) for v in variants],
+        chaos_variant_task)
 
-    if args.list_plans:
-        for plan in default_fault_plans(args.seed):
-            print(f"{plan.name:<16} crashes={len(plan.crashes)} "
-                  f"cache_drops={len(plan.cache_drops)} "
-                  f"error_rate={plan.error_rate:g}")
-        return EXIT_OK
-    variants = _resolve_variants(args.app, all_flag=args.all)
-
-    plans = default_fault_plans(args.seed)
-    if args.plans is not None:
-        wanted = {p.strip() for p in args.plans.split(",") if p.strip()}
-        unknown = wanted - {p.name for p in plans}
-        if unknown:
-            raise _UsageError(
-                f"unknown plan(s): {', '.join(sorted(unknown))}")
-        plans = [p for p in plans if p.name in wanted]
-
-    plan_names = tuple(p.name for p in plans)
-    sem_names = tuple(s.name.lower() for s in CHAOS_SEMANTICS)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        run = run_matrix(
-            "chaos-variant",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed,
-                                  "plans": list(plan_names),
-                                  "semantics": list(sem_names),
-                                  "stripe": CHAOS_STRIPE_SIZE},
-                      task=(v, args.nranks, args.seed, plan_names,
-                            sem_names, CHAOS_STRIPE_SIZE))
-             for v in variants],
-            chaos_variant_task, jobs=_matrix_jobs(args), cache=cache)
-
-        report = ChaosReport(nranks=args.nranks, seed=args.seed,
-                             plans=list(plan_names))
-        for payload in run.payloads:
-            report.cells.extend(
-                ChaosCell.from_dict(d) for d in payload["cells"])
-
-        text = (report.to_json() if args.format == "json"
-                else report.to_text())
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK if report.ok else EXIT_FINDINGS
+    report = ChaosReport(nranks=args.nranks, seed=args.seed,
+                         plans=list(plans))
+    for payload in run.payloads:
+        report.cells.extend(ChaosCell.from_dict(d) for d in payload["cells"])
+    text = report.to_json() if args.format == "json" else report.to_text()
+    return Outcome(text, EXIT_OK if report.ok else EXIT_FINDINGS)
 
 
-@_usage_guard
-def crossvalidate_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study crossvalidate`` — lint vs replay oracle.
+def _plan_catalogue(args: argparse.Namespace) -> str:
+    from repro.pfs.chaos import default_fault_plans
 
-    Exit codes: 0 no false negatives, 1 the linter missed a pair the
-    replay pipeline reports (its zero-false-negative contract is
-    broken), 2 usage.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study crossvalidate",
-        description="Cross-validate the static linter against the "
-                    "replay-based conflict and durability oracles.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
-    _add_matrix_args(parser)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
-
-    from repro.study.parallel import CellSpec, crossval_task, run_matrix
-
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        run = run_matrix(
-            "crossval-cell",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed},
-                      task=(v, args.nranks, args.seed))
-             for v in variants],
-            crossval_task, jobs=_matrix_jobs(args), cache=cache)
-        cells = list(run.payloads)
-        return _render_crossval(args, run, cache, cells)
+    return "\n".join(f"{plan.name:<16} crashes={len(plan.crashes)} "
+                     f"cache_drops={len(plan.cache_drops)} "
+                     f"error_rate={plan.error_rate:g}"
+                     for plan in default_fault_plans(args.seed))
 
 
-def _render_crossval(args, run, cache, cells: list[dict]) -> int:
-    import json
+def _crossvalidate(inv: _Invocation) -> Outcome:
+    """Lint vs the replay oracle: exit 1 when the linter missed a pair
+    the replay pipeline reports (its zero-false-negative contract)."""
+    from repro.study.parallel import crossval_cell, crossval_task
 
-    if args.format == "json":
-        text = json.dumps(
-            {"nranks": args.nranks, "seed": args.seed, "cells": cells,
-             "ok": all(c["ok"] for c in cells)},
-            sort_keys=True, indent=2)
-    else:
-        lines = [f"{'configuration':<26} {'pairs':>6} {'missed':>7} "
-                 f"{'extras':>7}  status"]
-        lines.append("-" * len(lines[0]))
-        for cell in cells:
-            pairs = (cell["hazards"]["checked_pairs"]
-                     + cell["durability"]["checked_pairs"])
-            missed = (len(cell["hazards"]["false_negatives"])
-                      + len(cell["durability"]["false_negatives"]))
-            extras = (len(cell["hazards"]["extras"])
-                      + len(cell["durability"]["extras"]))
-            status = "ok" if cell["ok"] else "FALSE NEGATIVES"
-            lines.append(f"{cell['label']:<26} {pairs:>6} {missed:>7} "
-                         f"{extras:>7}  {status}")
-        bad = [c for c in cells if not c["ok"]]
-        lines.append("")
-        lines.append(f"{len(cells)} configurations, "
-                     f"{len(bad)} with false negatives")
-        for cell in bad:
-            for msg in (cell["hazards"]["false_negatives"]
-                        + cell["durability"]["false_negatives"]):
-                lines.append(f"  {msg}")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if all(c["ok"] for c in cells) else EXIT_FINDINGS
+    args = inv.args
+    run = inv.matrix("crossval-cell",
+                     [crossval_cell(v, args.nranks, args.seed)
+                      for v in inv.variants],
+                     crossval_task)
+    cells = run.payloads
+    return _cells_document(inv, cells, all(c["ok"] for c in cells),
+                           _crossval_text)
 
 
-@_usage_guard
-def staticcheck_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study staticcheck`` — static conflict prediction.
+def _crossval_text(cells: list[dict]) -> str:
+    lines = [f"{'configuration':<26} {'pairs':>6} {'missed':>7} "
+             f"{'extras':>7}  status"]
+    lines.append("-" * len(lines[0]))
+    for cell in cells:
+        pairs = (cell["hazards"]["checked_pairs"]
+                 + cell["durability"]["checked_pairs"])
+        missed = (len(cell["hazards"]["false_negatives"])
+                  + len(cell["durability"]["false_negatives"]))
+        extras = (len(cell["hazards"]["extras"])
+                  + len(cell["durability"]["extras"]))
+        status = "ok" if cell["ok"] else "FALSE NEGATIVES"
+        lines.append(f"{cell['label']:<26} {pairs:>6} {missed:>7} "
+                     f"{extras:>7}  {status}")
+    bad = [c for c in cells if not c["ok"]]
+    lines.append("")
+    lines.append(f"{len(cells)} configurations, "
+                 f"{len(bad)} with false negatives")
+    for cell in bad:
+        for msg in (cell["hazards"]["false_negatives"]
+                    + cell["durability"]["false_negatives"]):
+            lines.append(f"  {msg}")
+    return "\n".join(lines)
+
+
+def _staticcheck(inv: _Invocation) -> Outcome:
+    """Static conflict prediction vs the dynamic detector.
 
     Evaluates each configuration's symbolic I/O plan under the
-    interval/stride abstract domain and cross-validates the predicted
-    per-semantics conflict sets against the dynamic detector.  Exit
-    codes: 0 every cell sound (no dynamic conflict missed), 1 at least
-    one missed conflict, 2 usage.
+    interval/stride abstract domain; exit 1 when a dynamic conflict
+    was missed.
     """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study staticcheck",
-        description="Predict per-semantics conflicts from symbolic "
-                    "I/O plans and cross-validate the predictions "
-                    "against the dynamic detector.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
-    _add_matrix_args(parser)
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
+    from repro.study.parallel import staticcheck_cell, staticcheck_task
 
-    from repro.study.parallel import (
-        CellSpec,
-        run_matrix,
-        staticcheck_task,
-    )
-
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        run = run_matrix(
-            "staticcheck-cell",
-            [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(
-                                      v.options.items())),
-                                  "nranks": args.nranks,
-                                  "seed": args.seed},
-                      task=(v, args.nranks, args.seed))
-             for v in variants],
-            staticcheck_task, jobs=_matrix_jobs(args), cache=cache)
-        cells = list(run.payloads)
-        return _render_staticcheck(args, run, cache, cells)
+    args = inv.args
+    run = inv.matrix("staticcheck-cell",
+                     [staticcheck_cell(v, args.nranks, args.seed)
+                      for v in inv.variants],
+                     staticcheck_task)
+    cells = run.payloads
+    return _cells_document(inv, cells, all(c["ok"] for c in cells),
+                           _staticcheck_text)
 
 
-def _render_staticcheck(args, run, cache, cells: list[dict]) -> int:
-    import json
-
-    if args.format == "json":
-        text = json.dumps(
-            {"nranks": args.nranks, "seed": args.seed, "cells": cells,
-             "ok": all(c["ok"] for c in cells)},
-            sort_keys=True, indent=2)
-    else:
-        lines = [f"{'configuration':<26} {'plan':<6} {'groups':>6} "
-                 f"{'pairs':>6} {'precision':>9}  status"]
-        lines.append("-" * len(lines[0]))
-        for cell in cells:
-            plan_kind = "exact" if cell["exact"] else "coarse"
-            status = "sound" if cell["sound"] else "MISSED CONFLICTS"
-            lines.append(
-                f"{cell['label']:<26} {plan_kind:<6} "
-                f"{cell['groups']:>6} {cell['pairs_checked']:>6} "
-                f"{cell['precision']:>9.4f}  {status}")
-        bad = [c for c in cells if not c["sound"]]
-        lines.append("")
-        lines.append(f"{len(cells)} configurations, "
-                     f"{len(bad)} with missed dynamic conflicts")
-        for cell in bad:
-            for name, sem in sorted(cell["semantics"].items()):
-                for msg in sem["missed"]:
-                    lines.append(f"  {cell['label']} [{name}] {msg}")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if all(c["ok"] for c in cells) else EXIT_FINDINGS
+def _staticcheck_text(cells: list[dict]) -> str:
+    lines = [f"{'configuration':<26} {'plan':<6} {'groups':>6} "
+             f"{'pairs':>6} {'precision':>9}  status"]
+    lines.append("-" * len(lines[0]))
+    for cell in cells:
+        plan_kind = "exact" if cell["exact"] else "coarse"
+        status = "sound" if cell["sound"] else "MISSED CONFLICTS"
+        lines.append(
+            f"{cell['label']:<26} {plan_kind:<6} "
+            f"{cell['groups']:>6} {cell['pairs_checked']:>6} "
+            f"{cell['precision']:>9.4f}  {status}")
+    bad = [c for c in cells if not c["sound"]]
+    lines.append("")
+    lines.append(f"{len(cells)} configurations, "
+                 f"{len(bad)} with missed dynamic conflicts")
+    for cell in bad:
+        for name, sem in sorted(cell["semantics"].items()):
+            for msg in sem["missed"]:
+                lines.append(f"  {cell['label']} [{name}] {msg}")
+    return "\n".join(lines)
 
 
-@_usage_guard
-def partition_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study partition`` — the multi-process engine.
+def _partition(inv: _Invocation) -> Outcome:
+    """The partitioned multi-process engine (:mod:`repro.partition`).
 
-    Traces configurations with the rank set split across ``--partitions``
-    worker subprocesses (:mod:`repro.partition`) and summarizes the
-    cells exactly like ``study all``.  With ``--verify`` each
-    configuration is additionally traced single-process and the two
-    canonical ``.rtrc`` serializations are compared byte for byte.
-    Exit codes: 0 done (``--verify``: all identical), 1 at least one
-    byte divergence, 2 usage.
+    Summarizes the cells exactly like ``study all``.  With ``--verify``
+    each configuration is additionally traced single-process and the
+    two canonical ``.rtrc`` serializations are compared byte for byte;
+    exit 1 on any divergence.
     """
-    from repro.study.parallel import (
-        CellSpec,
-        partition_verify_task,
-        run_matrix,
-    )
-    from repro.study.runner import matrix_json, study_cells
+    from repro.study.parallel import partition_verify, partition_verify_task
+    from repro.study.runner import study_cells
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study partition",
-        description="Trace configurations with the partitioned "
-                    "multi-process simulation engine; optionally "
-                    "verify byte-identity against the single-process "
-                    "engine.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to run; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="run every registered configuration")
-    _add_matrix_args(parser)
-    parser.add_argument("--partitions", type=int, default=2, metavar="N",
-                        help="worker subprocesses per run (default 2)")
-    parser.add_argument("--verify", action="store_true",
-                        help="also trace single-process and require "
-                             "byte-identical canonical .rtrc output")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--stats", action="store_true",
-                        help="print per-cell timing/cache provenance "
-                             "to stderr")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the report to this file")
-    args = parser.parse_args(argv)
+    args = inv.args
     partitions = _check_partitions(args.partitions, args.nranks)
-
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
-    with _metrics_scope(args):
-        cache = _matrix_cache(args)
-        jobs = _matrix_jobs(args)
-        if args.verify:
-            run = run_matrix(
-                "partition-verify",
-                [CellSpec(key_fields={"label": v.label,
-                                      "options": dict(sorted(
-                                          v.options.items())),
-                                      "nranks": args.nranks,
-                                      "seed": args.seed,
-                                      "partitions": partitions},
-                          task=(v, args.nranks, args.seed, partitions))
-                 for v in variants],
-                partition_verify_task, jobs=jobs, cache=cache)
-            return _render_partition_verify(args, run, cache,
-                                            list(run.payloads))
-        run = study_cells(nranks=args.nranks, seed=args.seed,
-                          variants=variants, jobs=jobs, cache=cache,
-                          partitions=partitions)
-        cells = list(run.payloads)
-        if args.format == "json":
-            text = matrix_json(cells, nranks=args.nranks, seed=args.seed)
-        else:
-            text = _matrix_text(cells)
-        print(text)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(text + "\n")
-        _print_matrix_stats(run, cache, show_cells=args.stats)
-        return EXIT_OK
+    variants = inv.variants
+    if not args.verify:
+        inv.run = study_cells(nranks=args.nranks, seed=args.seed,
+                              variants=variants, jobs=inv.jobs,
+                              cache=inv.cache, partitions=partitions)
+        return _summary_text(args, inv.run.payloads)
+    run = inv.matrix("partition-verify",
+                     [partition_verify(v, args.nranks, args.seed,
+                                       partitions)
+                      for v in variants],
+                     partition_verify_task)
+    cells = run.payloads
+    return _cells_document(inv, cells, all(c["identical"] for c in cells),
+                           _partition_verify_text,
+                           partitions=args.partitions)
 
 
-def _render_partition_verify(args, run, cache, cells: list[dict]) -> int:
-    import json
-
-    ok = all(c["identical"] for c in cells)
-    if args.format == "json":
-        text = json.dumps({"nranks": args.nranks, "seed": args.seed,
-                           "partitions": args.partitions,
-                           "cells": cells, "ok": ok},
-                          sort_keys=True, indent=2)
-    else:
-        hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
-               f"status")
-        lines = [hdr, "-" * len(hdr)]
-        for cell in cells:
-            status = "identical" if cell["identical"] else "DIVERGED"
-            lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
-                         f"{cell['rtrc_bytes']:>10}  {status}")
-        bad = sum(1 for c in cells if not c["identical"])
-        lines.append("")
-        lines.append(f"{len(cells)} configuration(s), {bad} diverged "
-                     f"between single-process and partitioned runs")
-        text = "\n".join(lines)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
-    _print_matrix_stats(run, cache, show_cells=args.stats)
-    return EXIT_OK if ok else EXIT_FINDINGS
+def _partition_verify_text(cells: list[dict]) -> str:
+    hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
+           f"status")
+    lines = [hdr, "-" * len(hdr)]
+    for cell in cells:
+        status = "identical" if cell["identical"] else "DIVERGED"
+        lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
+                     f"{cell['rtrc_bytes']:>10}  {status}")
+    bad = sum(1 for c in cells if not c["identical"])
+    lines.append("")
+    lines.append(f"{len(cells)} configuration(s), {bad} diverged "
+                 f"between single-process and partitioned runs")
+    return "\n".join(lines)
 
 
-@_usage_guard
-def metrics_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study metrics`` — the observability dashboard.
-
-    Renders the counter/timer/self-trace dashboard for a JSON-lines
-    file previously written by ``--metrics``, or (with ``--collect``)
-    runs the study matrix live under a fresh registry and reports what
-    the simulator did.  Exit codes: 0 rendered, 2 usage (no input,
-    unreadable or malformed file).
-    """
-    from repro.obs import registry as obs
-    from repro.obs.export import parse_jsonl, render_dashboard, to_jsonl
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study metrics",
-        description="Render the metrics dashboard for a --metrics "
-                    "JSON-lines file, or collect one live from the "
-                    "study matrix.")
-    parser.add_argument("file", nargs="?", type=Path, metavar="FILE",
-                        help="JSON-lines file written by --metrics; "
-                             "omit with --collect")
-    parser.add_argument("--collect", action="store_true",
-                        help="run the study matrix now and report its "
-                             "metrics (ignores the result cache)")
-    parser.add_argument("--nranks", type=int, default=4,
-                        help="ranks per configuration for --collect "
-                             "(default 4)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for --collect "
-                             "(default 1 = serial; 0 = one per CPU)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text",
-                        help="text = dashboard, json = canonical "
-                             "JSON-lines re-emit")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the rendered output to this "
-                             "file")
-    args = parser.parse_args(argv)
-
-    if args.collect == (args.file is not None):
-        raise _UsageError("specify exactly one of FILE or --collect")
-
-    if args.collect:
-        from repro.study.cache import ResultCache
-        from repro.study.parallel import resolve_jobs
-        from repro.study.runner import study_cells
-
-        jobs = resolve_jobs(None) if args.jobs == 0 else max(1, args.jobs)
-        with obs.collecting(trace=True) as reg:
-            study_cells(nranks=args.nranks, seed=args.seed, jobs=jobs,
-                        cache=ResultCache.disabled())
-    else:
-        try:
-            raw = args.file.read_text()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {args.file}: "
-                              f"{exc.strerror or exc}")
-        try:
-            reg, _ = parse_jsonl(raw)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _UsageError(
-                f"{args.file} is not a --metrics JSON-lines file: {exc}")
-
-    text = to_jsonl(reg) if args.format == "json" \
-        else render_dashboard(reg)
-    print(text, end="" if text.endswith("\n") else "\n")
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text if text.endswith("\n") else text + "\n")
-    return EXIT_OK
+# -- trace format and observability --------------------------------------------
 
 
-@_usage_guard
-def fingerprint_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study fingerprint`` — print the code digest.
-
-    CI uses this as the ``actions/cache`` key for ``.repro-cache/``:
-    any change to the :mod:`repro` source invalidates every cached
-    cell at once, so a restored cache can never serve stale results.
-    """
-    from repro.study.cache import code_fingerprint
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study fingerprint",
-        description="Print the repro source fingerprint that scopes "
-                    "result-cache keys.")
-    parser.parse_args(argv)
-    print(code_fingerprint())
-    return EXIT_OK
-
-
-@_usage_guard
-def roundtrip_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study roundtrip`` — the ``.rtrc`` parity gate.
+def _roundtrip(inv: _Invocation) -> Outcome:
+    """The ``.rtrc`` parity gate.
 
     For each selected configuration: trace it, summarize the cell from
     the in-memory records, then convert the trace to a columnar
@@ -1018,8 +708,7 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
     each named ``.rtrc`` file is loaded, structurally validated, and
     rebuilt into records instead.  A missing file is a usage error
     (exit 2); a damaged one — truncated, bad CRC, malformed header —
-    is a finding (exit 1), never a traceback.  Exit codes: 0 all
-    identical/valid, 1 any divergence or damaged file, 2 usage.
+    is a finding (exit 1), never a traceback.
     """
     import tempfile
 
@@ -1029,38 +718,18 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
     )
     from repro.core.offsets import reconstruct_offsets
     from repro.core.records import group_by_path
-    from repro.core.semantics import Semantics
     from repro.study.runner import cell_summary, matrix_json
     from repro.tracer.columnar import ColumnarTrace, read_rtrc
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study roundtrip",
-        description="Assert the binary .rtrc trace format is lossless: "
-                    "study reports and conflict counts must be "
-                    "byte-identical across a save/load round trip.")
-    parser.add_argument("app", nargs="?", metavar="NAME[/LIB]",
-                        help="configuration to check; omit with --all")
-    parser.add_argument("--all", action="store_true",
-                        help="check every registered configuration")
-    parser.add_argument("--nranks", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--keep-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="write the .rtrc files here instead of a "
-                             "temporary directory (kept afterwards)")
-    parser.add_argument("--check", action="append", type=Path,
-                        default=None, metavar="FILE",
-                        help="validate existing .rtrc file(s) instead "
-                             "of tracing configurations (repeatable)")
-    args = parser.parse_args(argv)
+    args = inv.args
     if args.check is not None:
         if args.app or args.all:
             raise _UsageError("--check cannot be combined with a "
                               "configuration selection")
         return _roundtrip_check(args.check)
-    variants = _resolve_variants([args.app] if args.app else None,
-                                 all_flag=args.all)
+    variants = inv.variants
 
+    lines = []
     failures = 0
     with tempfile.TemporaryDirectory(prefix="rtrc-") as tmp:
         out_dir = args.keep_dir if args.keep_dir is not None else Path(tmp)
@@ -1088,46 +757,103 @@ def roundtrip_main(argv: list[str] | None = None) -> int:
             detail = ("identical" if ok
                       else "report diverged" if not report_ok
                       else "conflict counts diverged")
-            print(f"{variant.label:<26} {path.stat().st_size:>9d} bytes "
-                  f"{'ok    ' if ok else 'FAIL  '}{detail}")
+            lines.append(f"{variant.label:<26} {path.stat().st_size:>9d} "
+                         f"bytes {'ok    ' if ok else 'FAIL  '}{detail}")
     if failures:
         print(f"roundtrip: {failures} of {len(variants)} "
               f"configuration(s) diverged", file=sys.stderr)
-        return EXIT_FINDINGS
-    print(f"roundtrip: {len(variants)} configuration(s) byte-identical "
-          f"through .rtrc")
-    return EXIT_OK
+        return Outcome("\n".join(lines), EXIT_FINDINGS)
+    lines.append(f"roundtrip: {len(variants)} configuration(s) "
+                 f"byte-identical through .rtrc")
+    return Outcome("\n".join(lines))
 
 
-def _roundtrip_check(files: list[Path]) -> int:
+def _roundtrip_check(files: list[Path]) -> Outcome:
     """Validate on-disk ``.rtrc`` files under the 0/1/2 contract."""
     from repro.errors import AnalysisError
     from repro.tracer.columnar import read_rtrc
 
-    failures = 0
     for path in files:
         if not path.is_file():
             raise _UsageError(f"cannot read {path}: no such file")
+    lines = []
+    failures = 0
+    for path in files:
         try:
             ct = read_rtrc(path)
             ct.validate()
             nrecords = len(ct.to_trace().records)
         except AnalysisError as exc:
             failures += 1
-            print(f"{path}  FAIL  {exc}")
+            lines.append(f"{path}  FAIL  {exc}")
             continue
-        print(f"{path}  ok    {nrecords} record(s), "
-              f"{path.stat().st_size} bytes")
+        lines.append(f"{path}  ok    {nrecords} record(s), "
+                     f"{path.stat().st_size} bytes")
     if failures:
         print(f"roundtrip: {failures} of {len(files)} file(s) damaged",
               file=sys.stderr)
-        return EXIT_FINDINGS
-    return EXIT_OK
+    return Outcome("\n".join(lines),
+                   EXIT_FINDINGS if failures else EXIT_OK)
 
 
-@_usage_guard
-def serve_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study serve`` — the analysis service.
+def _metrics(inv: _Invocation) -> Outcome:
+    """The observability dashboard.
+
+    Renders the counter/timer/self-trace dashboard for a JSON-lines
+    file previously written by ``--metrics``, or (with ``--collect``)
+    runs the study matrix live under a fresh registry and reports what
+    the simulator did.  Exit 2 when there is no input or the file is
+    unreadable or malformed.
+    """
+    from repro.obs import registry as obs
+    from repro.obs.export import parse_jsonl, render_dashboard, to_jsonl
+
+    args = inv.args
+    if args.collect == (args.file is not None):
+        raise _UsageError("specify exactly one of FILE or --collect")
+
+    if args.collect:
+        from repro.study.cache import ResultCache
+        from repro.study.runner import study_cells
+
+        with obs.collecting(trace=True) as reg:
+            study_cells(nranks=args.nranks, seed=args.seed, jobs=inv.jobs,
+                        cache=ResultCache.disabled())
+    else:
+        try:
+            raw = args.file.read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read {args.file}: "
+                              f"{exc.strerror or exc}")
+        try:
+            reg, _ = parse_jsonl(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _UsageError(
+                f"{args.file} is not a --metrics JSON-lines file: {exc}")
+
+    text = to_jsonl(reg) if args.format == "json" \
+        else render_dashboard(reg)
+    # the runner adds the final newline back
+    return Outcome(text[:-1] if text.endswith("\n") else text)
+
+
+def _fingerprint(inv: _Invocation) -> Outcome:
+    """The code digest cache keys embed.
+
+    CI uses this as the ``actions/cache`` key for ``.repro-cache/``:
+    any change to the :mod:`repro` source invalidates every cached
+    cell at once, so a restored cache can never serve stale results.
+    """
+    from repro.study.cache import code_fingerprint
+
+    return Outcome(code_fingerprint())
+
+
+# -- the analysis service ------------------------------------------------------
+
+
+def _serve(inv: _Invocation) -> Outcome:
+    """The analysis service.
 
     Binds, prints one JSON ready line (``{"event": "ready", "host":
     ..., "port": ...}``) on stdout, and serves until SIGINT/SIGTERM,
@@ -1136,64 +862,26 @@ def serve_main(argv: list[str] | None = None) -> int:
     cannot capture stdout (the CI smoke job).
     """
     import asyncio
-    import json
     import os
     import signal
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study serve",
-        description="Serve the consistency analyses over length-"
-                    "prefixed JSON TCP (see docs/serving.md).")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="TCP port (default 0 = ephemeral; the "
-                             "ready line reports the bound port)")
-    parser.add_argument("--queue-limit", type=int, default=16,
-                        metavar="N",
-                        help="max admitted in-flight requests; beyond "
-                             "this arrivals get 'overloaded' "
-                             "(default 16)")
-    parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="analysis worker processes (default 2)")
-    parser.add_argument("--default-deadline", type=float, default=60.0,
-                        metavar="S",
-                        help="deadline budget for requests that set "
-                             "none (default 60)")
-    parser.add_argument("--drain", type=float, default=10.0,
-                        metavar="S",
-                        help="shutdown grace for in-flight requests "
-                             "(default 10)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update .repro-cache/")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="result cache root (default "
-                             ".repro-cache/ or $REPRO_CACHE_DIR)")
-    parser.add_argument("--debug", action="store_true",
-                        help="also serve debug endpoints (sleep)")
-    parser.add_argument("--ready-file", type=Path, default=None,
-                        metavar="FILE",
-                        help="write the ready JSON document here too")
-    args = parser.parse_args(argv)
+    from repro.serve.server import AnalysisServer, ServeConfig
+
+    args = inv.args
     if args.queue_limit < 1 or args.workers < 1:
         raise _UsageError("--queue-limit and --workers must be >= 1")
     if args.default_deadline <= 0 or args.drain < 0:
         raise _UsageError("--default-deadline must be > 0 and "
                           "--drain >= 0")
 
-    from repro.serve.server import AnalysisServer, ServeConfig
-    from repro.study.cache import ResultCache
-
-    async def run() -> int:
-        cache = ResultCache.from_options(cache_dir=args.cache_dir,
-                                         no_cache=args.no_cache)
+    async def run() -> None:
         server = AnalysisServer(
             ServeConfig(host=args.host, port=args.port,
                         queue_limit=args.queue_limit,
                         workers=args.workers,
                         default_deadline_s=args.default_deadline,
                         drain_s=args.drain, debug=args.debug),
-            cache=cache)
+            cache=inv.cache)
         await server.start()
         ready = json.dumps({"event": "ready", "host": args.host,
                             "port": server.port, "pid": os.getpid()},
@@ -1217,20 +905,18 @@ def serve_main(argv: list[str] | None = None) -> int:
             print("[serve: draining]", file=sys.stderr)
             await server.stop()
             forever.cancel()
-        return EXIT_OK
 
     try:
-        return asyncio.run(run())
+        asyncio.run(run())
     except KeyboardInterrupt:
-        return EXIT_OK
+        pass
     except OSError as exc:
         raise _UsageError(f"cannot bind {args.host}:{args.port}: "
                           f"{exc.strerror or exc}")
+    return Outcome(None)
 
 
-def _parse_request_params(args: argparse.Namespace) -> dict:
-    import json
-
+def _request_params(args: argparse.Namespace) -> dict:
     params: dict = {}
     if args.json:
         try:
@@ -1252,112 +938,46 @@ def _parse_request_params(args: argparse.Namespace) -> dict:
     return params
 
 
-@_usage_guard
-def request_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study request`` — one query to the service.
+def _request(inv: _Invocation) -> Outcome:
+    """One query to the service, printed as its full response document.
 
-    Prints the full response document as JSON.  Exit codes: 0 the
-    request succeeded, 1 the server answered ``overloaded``/
-    ``deadline``/``internal`` or is unreachable, 2 the request itself
-    is bad (``bad_request``, malformed parameters, missing --port).
+    Exit 1 when the server answered ``overloaded``/``deadline``/
+    ``internal`` or is unreachable, 2 when the request itself is bad
+    (``bad_request``, malformed parameters, missing --port).
     """
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study request",
-        description="Issue one request against a running analysis "
-                    "server and print the response.")
-    parser.add_argument("endpoint", nargs="?",
-                        help="endpoint name (healthz, fingerprint, "
-                             "metrics, cell, lint, advise, chaos, "
-                             "staticcheck)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="KEY=VALUE",
-                        help="request parameter (repeatable); VALUE "
-                             "parses as JSON, falling back to string")
-    parser.add_argument("--json", default=None, metavar="DOC",
-                        help="request parameters as one JSON object "
-                             "(--param entries override)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="S",
-                        help="per-request deadline budget in seconds")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="retry-jitter seed (default 0)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the response to this file")
-    args = parser.parse_args(argv)
-    if not args.endpoint:
-        raise _UsageError("an endpoint name is required")
-    if args.port is None:
-        raise _UsageError("--port is required (see the server's "
-                          "ready line)")
-    params = _parse_request_params(args)
-
     from repro.serve.client import ServeConnectionError, request_sync
     from repro.serve.protocol import ERR_BAD_REQUEST, response_error_code
 
+    args = inv.args
+    if not args.endpoint:
+        raise _UsageError("an endpoint name is required")
+    _require_port(args)
+    params = _request_params(args)
     try:
         response = request_sync(args.host, args.port, args.endpoint,
                                 params, deadline_s=args.deadline,
                                 seed=args.seed)
     except ServeConnectionError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_FINDINGS
+        return Outcome(None, EXIT_FINDINGS)
     text = json.dumps(response, indent=2, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text + "\n")
     code = response_error_code(response)
     if code is None:
-        return EXIT_OK
+        return Outcome(text)
     print(f"{code}: {response['error']['message']}", file=sys.stderr)
-    return EXIT_USAGE if code == ERR_BAD_REQUEST else EXIT_FINDINGS
+    return Outcome(text, EXIT_USAGE if code == ERR_BAD_REQUEST
+                   else EXIT_FINDINGS)
 
 
-@_usage_guard
-def loadtest_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study loadtest`` — the seeded load generator.
-
-    Exit codes: 0 every request succeeded, 1 any request failed (or
-    the server is unreachable), 2 usage.
-    """
-    import json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study loadtest",
-        description="Drive a seeded zipf-skewed closed-loop load "
-                    "against a running analysis server.")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument("--clients", type=int, default=4, metavar="N")
-    parser.add_argument("--requests", type=int, default=25,
-                        metavar="N", help="requests per client "
-                                          "(default 25)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--zipf", type=float, default=1.2,
-                        metavar="S", help="popularity skew exponent "
-                                          "(default 1.2)")
-    parser.add_argument("--nranks", type=int, default=2,
-                        help="ranks per requested cell (default 2)")
-    parser.add_argument("--deadline", type=float, default=60.0,
-                        metavar="S",
-                        help="per-request deadline budget "
-                             "(default 60)")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write the JSON report to this file")
-    args = parser.parse_args(argv)
-    if args.port is None:
-        raise _UsageError("--port is required (see the server's "
-                          "ready line)")
-
+def _loadtest(inv: _Invocation) -> Outcome:
+    """The seeded load generator: exit 1 when any request failed (or
+    the server is unreachable).  ``--out`` always saves the JSON
+    report."""
     from repro.serve.client import ServeConnectionError
     from repro.serve.loadgen import LoadSpec, report_text, run_load_sync
 
+    args = inv.args
+    _require_port(args)
     spec = LoadSpec(clients=args.clients,
                     requests_per_client=args.requests,
                     seed=args.seed, zipf_s=args.zipf,
@@ -1370,68 +990,28 @@ def loadtest_main(argv: list[str] | None = None) -> int:
         report = run_load_sync(args.host, args.port, spec)
     except ServeConnectionError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_FINDINGS
+        return Outcome(None, EXIT_FINDINGS)
 
     as_json = json.dumps(report, indent=2, sort_keys=True)
-    print(as_json if args.format == "json" else report_text(report))
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(as_json + "\n")
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    return Outcome(as_json if args.format == "json"
+                   else report_text(report),
+                   EXIT_OK if report["ok"] else EXIT_FINDINGS,
+                   saved=as_json)
 
 
-@_usage_guard
-def cluster_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study cluster`` — the analysis cluster.
-
-    ``start``/``worker``/``status``/``loadtest``/``chaos`` under the
-    uniform 0/1/2 exit contract; see :mod:`repro.cluster.cli` and
-    ``docs/cluster.md``.
-    """
-    from repro.cluster.cli import cluster_main as cluster_impl
-
-    return cluster_impl(argv)
-
-
-@_usage_guard
-def cache_main(argv: list[str] | None = None) -> int:
-    """``python -m repro.study cache`` — result-store maintenance.
+def _cache(inv: _Invocation) -> Outcome:
+    """Result-store maintenance.
 
     ``stats`` summarizes the store; ``prune`` evicts by age and/or a
-    total-size cap (oldest-first).  Exit codes: 0 done, 2 usage
-    (unknown action, prune without a criterion).
+    total-size cap (oldest-first).  Exit 2 on an unknown action or a
+    prune without a criterion.
     """
-    import json
+    from repro.study.cache import prune, usage_stats
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.study cache",
-        description="Inspect or prune the content-addressed result "
-                    "cache (.repro-cache/).")
-    parser.add_argument("action", nargs="?",
-                        help="'stats' or 'prune'")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        metavar="DIR",
-                        help="cache root (default .repro-cache/ or "
-                             "$REPRO_CACHE_DIR)")
-    parser.add_argument("--max-age-days", type=float, default=None,
-                        metavar="D",
-                        help="prune entries not written in D days")
-    parser.add_argument("--max-bytes", type=int, default=None,
-                        metavar="N",
-                        help="prune oldest entries until the store "
-                             "fits in N bytes")
-    parser.add_argument("--dry-run", action="store_true",
-                        help="report what prune would remove, remove "
-                             "nothing")
-    parser.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    args = parser.parse_args(argv)
+    args = inv.args
     if args.action not in ("stats", "prune"):
         raise _UsageError("action must be 'stats' or 'prune'")
-
-    from repro.study.cache import ResultCache, prune, usage_stats
-
-    root = ResultCache.from_options(cache_dir=args.cache_dir).root
+    root = inv.cache.root
     if args.action == "stats":
         doc = usage_stats(root)
         lines = [f"cache root: {doc['root']}",
@@ -1464,9 +1044,192 @@ def cache_main(argv: list[str] | None = None) -> int:
         if doc.get("already_gone"):
             text += (f"; {doc['already_gone']} already removed by a "
                      f"concurrent pruner")
-    print(json.dumps(doc, indent=2, sort_keys=True)
-          if args.format == "json" else text)
-    return EXIT_OK
+    return Outcome(json.dumps(doc, indent=2, sort_keys=True)
+                   if args.format == "json" else text)
+
+
+# -- the table -----------------------------------------------------------------
+
+#: the default mode (no subcommand): the paper's tables and figures
+DEFAULT = Command(
+    "", "Regenerate the paper's tables and figures from fresh simulated "
+        "traces.",
+    _tables,
+    (*_run_opts(), *_JOBS,
+     _opt("--out", dest="out_dir", type=Path, default=None, metavar="DIR",
+          help="directory for per-run reports and CSVs"),
+     _opt("--app", default=None, metavar="NAME[/LIB]",
+          help="analyze a single application instead of the full study "
+               "(e.g. FLASH or LAMMPS/ADIOS)")))
+
+COMMANDS: dict[str, Command] = {command.name: command for command in (
+    Command(
+        "all", "Evaluate every registered configuration into summary "
+               "cells (parallel + cached).",
+        _all,
+        (*_run_opts(), *_MATRIX,
+         _opt("--partitions", type=int, default=1, metavar="N",
+              help="trace each cell with the partitioned multi-process "
+                   "engine split across N worker subprocesses (default "
+                   "1 = the single-process engine; byte-identical "
+                   "either way)"),
+         *_FORMAT,
+         _opt("--workflows", action="store_true",
+              help="append the canonical producer/consumer workflow "
+                   "cell to the matrix"),
+         *_STATS, *_OUT)),
+    Command(
+        "lint", "Statically lint application traces for "
+                "consistency-semantics hazards (no PFS replay).",
+        _lint,
+        (*_TARGET, *_run_opts(), *_FORMAT,
+         _opt("--rules", default=None, metavar="R1,R2",
+              help="comma-separated rule names/ids to run (default: "
+                   "all)"),
+         *_OUT),
+        listing=("--list-rules", "print the rule catalogue and exit",
+                 _rule_catalogue)),
+    Command(
+        "chaos", "Replay application traces under a deterministic fault "
+                 "matrix and audit crash recovery against the "
+                 "per-semantics durability contract.",
+        _chaos,
+        (_opt("--app", action="append", default=None,
+              metavar="NAME[/LIB]",
+              help="configuration to test (repeatable, e.g. --app FLASH "
+                   "--app LAMMPS/ADIOS)"),
+         _ALL, *_run_opts(nranks=4), *_MATRIX,
+         _opt("--plans", default=None, metavar="P1,P2",
+              help="subset of plan names to run (default: the full "
+                   "matrix; see --list-plans)"),
+         *_FORMAT, *_STATS, *_OUT),
+        listing=("--list-plans", "print the default fault plans and exit",
+                 _plan_catalogue)),
+    Command(
+        "crossvalidate", "Cross-validate the static linter against the "
+                         "replay-based conflict and durability oracles.",
+        _crossvalidate,
+        (*_TARGET, *_run_opts(), *_MATRIX, *_FORMAT, *_STATS, *_OUT)),
+    Command(
+        "staticcheck", "Predict per-semantics conflicts from symbolic I/O "
+                       "plans and cross-validate the predictions against "
+                       "the dynamic detector.",
+        _staticcheck,
+        (*_TARGET, *_run_opts(), *_MATRIX, *_FORMAT, *_STATS, *_OUT)),
+    Command(
+        "partition", "Trace configurations with the partitioned "
+                     "multi-process simulation engine; optionally verify "
+                     "byte-identity against the single-process engine.",
+        _partition,
+        (*_TARGET, *_run_opts(), *_MATRIX,
+         _opt("--partitions", type=int, default=2, metavar="N",
+              help="worker subprocesses per run (default 2)"),
+         _opt("--verify", action="store_true",
+              help="also trace single-process and require "
+                   "byte-identical canonical .rtrc output"),
+         *_FORMAT, *_STATS, *_OUT)),
+    Command(
+        "roundtrip", "Assert the binary .rtrc trace format is lossless: "
+                     "study reports and conflict counts must be "
+                     "byte-identical across a save/load round trip.",
+        _roundtrip,
+        (*_TARGET, *_run_opts(),
+         _opt("--keep-dir", type=Path, default=None, metavar="DIR",
+              help="write the .rtrc files here instead of a temporary "
+                   "directory (kept afterwards)"),
+         _opt("--check", action="append", type=Path, default=None,
+              metavar="FILE",
+              help="validate existing .rtrc file(s) instead of tracing "
+                   "configurations (repeatable)"))),
+    Command(
+        "metrics", "Render the metrics dashboard for a --metrics "
+                   "JSON-lines file, or collect one live from the study "
+                   "matrix.",
+        _metrics,
+        (_opt("file", nargs="?", type=Path, metavar="FILE",
+              help="JSON-lines file written by --metrics; omit with "
+                   "--collect"),
+         _opt("--collect", action="store_true",
+              help="run the study matrix now and report its metrics "
+                   "(ignores the result cache)"),
+         *_run_opts(nranks=4), *_JOBS, *_FORMAT, *_OUT)),
+    Command(
+        "fingerprint", "Print the repro source fingerprint that scopes "
+                       "result-cache keys.",
+        _fingerprint),
+    Command(
+        "serve", "Serve the consistency analyses over length-prefixed "
+                 "JSON TCP (see docs/serving.md).",
+        _serve,
+        (*_HOST,
+         _opt("--port", type=int, default=0,
+              help="TCP port (default 0 = ephemeral; the ready line "
+                   "reports the bound port)"),
+         _opt("--queue-limit", type=int, default=16, metavar="N",
+              help="max admitted in-flight requests; beyond this "
+                   "arrivals get 'overloaded' (default 16)"),
+         _opt("--workers", type=int, default=2, metavar="N",
+              help="analysis worker processes (default 2)"),
+         _opt("--default-deadline", type=float, default=60.0,
+              metavar="S",
+              help="deadline budget for requests that set none "
+                   "(default 60)"),
+         _opt("--drain", type=float, default=10.0, metavar="S",
+              help="shutdown grace for in-flight requests (default 10)"),
+         *_CACHE,
+         _opt("--debug", action="store_true",
+              help="also serve debug endpoints (sleep)"),
+         _opt("--ready-file", type=Path, default=None, metavar="FILE",
+              help="write the ready JSON document here too"))),
+    Command(
+        "request", "Issue one request against a running analysis server "
+                   "and print the response.",
+        _request,
+        (_opt("endpoint", nargs="?",
+              help="endpoint name (healthz, fingerprint, metrics, cell, "
+                   "lint, advise, chaos, staticcheck)"),
+         *_HOST, *_PORT,
+         _opt("--param", action="append", default=None,
+              metavar="KEY=VALUE",
+              help="request parameter (repeatable); VALUE parses as "
+                   "JSON, falling back to string"),
+         _opt("--json", default=None, metavar="DOC",
+              help="request parameters as one JSON object (--param "
+                   "entries override)"),
+         _opt("--deadline", type=float, default=None, metavar="S",
+              help="per-request deadline budget in seconds"),
+         _opt("--seed", type=int, default=0,
+              help="retry-jitter seed (default 0)"),
+         *_OUT)),
+    Command(
+        "loadtest", "Drive a seeded zipf-skewed closed-loop load against "
+                    "a running analysis server.",
+        _loadtest,
+        (*_HOST, *_PORT,
+         _opt("--clients", type=int, default=4, metavar="N"),
+         _opt("--requests", type=int, default=25, metavar="N",
+              help="requests per client (default 25)"),
+         _opt("--zipf", type=float, default=1.2, metavar="S",
+              help="popularity skew exponent (default 1.2)"),
+         *_run_opts(nranks=2),
+         _opt("--deadline", type=float, default=60.0, metavar="S",
+              help="per-request deadline budget (default 60)"),
+         *_FORMAT, *_OUT)),
+    Command(
+        "cache", "Inspect or prune the content-addressed result cache "
+                 "(.repro-cache/).",
+        _cache,
+        (_opt("action", nargs="?", help="'stats' or 'prune'"),
+         _CACHE[1],
+         _opt("--max-age-days", type=float, default=None, metavar="D",
+              help="prune entries not written in D days"),
+         _opt("--max-bytes", type=int, default=None, metavar="N",
+              help="prune oldest entries until the store fits in N "
+                   "bytes"),
+         _opt("--dry-run", action="store_true",
+              help="report what prune would remove, remove nothing"),
+         *_FORMAT)),
+)}
 
 
 if __name__ == "__main__":  # pragma: no cover

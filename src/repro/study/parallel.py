@@ -28,6 +28,14 @@ incremental contract: probe the cache in the parent, fan out only the
 misses, store what was computed.  ``study all``, ``study chaos``,
 ``study crossvalidate``, the benchmarks, and CI all go through this one
 entry point.
+
+Which fields identify a cell is decided here too, once per cell kind:
+:func:`study_cell`, :func:`chaos_variant`, :func:`crossval_cell`,
+:func:`staticcheck_cell`, :func:`partition_verify` and
+:func:`workflow_cell` each return the :class:`CellSpec` (key fields +
+worker task).  The batch CLI, :func:`repro.study.runner.study_cells`
+and the service's handlers all build their cells through them, so a
+cell computed by one front end is a warm cache hit for the others.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.obs import registry as obs
 from repro.study.cache import ResultCache, cache_key
@@ -200,7 +208,7 @@ def run_matrix(kind: str, cells: Sequence[CellSpec], worker: CellWorker,
 
     run.outcomes = [o for o in outcomes if o is not None]
     run.wall_seconds = time.perf_counter() - t0
-    # the same numbers _print_matrix_stats reports on stderr, kept as
+    # the same numbers the CLI stats line reports on stderr, kept as
     # durable metrics instead of ad-hoc one-shot strings
     reg.counter(f"study.{kind}.cells").inc(len(run.outcomes))
     reg.counter("study.cells_cached").inc(run.cached)
@@ -213,6 +221,108 @@ def run_matrix(kind: str, cells: Sequence[CellSpec], worker: CellWorker,
               computed=run.computed,
               seconds=round(run.wall_seconds, 6))
     return run
+
+
+# -- cell keys -------------------------------------------------------------------
+
+
+def variant_fields(variant) -> dict:
+    """The ``(label, options)`` identity every per-variant cell keys on."""
+    return {"label": variant.label,
+            "options": dict(sorted(variant.options.items()))}
+
+
+def study_cell(variant, nranks: int, seed: int,
+               partitions: int = 1) -> CellSpec:
+    """``study-cell``: one configuration's summary (:func:`study_cell_task`).
+
+    The partition count is part of the key even at 1: partitioned and
+    single-process runs are byte-identical, but a divergence between
+    the engines must never hide behind a warm cache.
+    """
+    return CellSpec(key_fields={**variant_fields(variant),
+                                "nranks": nranks, "seed": seed,
+                                "partitions": partitions},
+                    task=(variant, nranks, seed, partitions))
+
+
+def chaos_plans(seed: int, wanted: Iterable[str] | None = None
+                ) -> tuple[str, ...]:
+    """Names of the default fault plans to run, in matrix order.
+
+    ``wanted=None`` selects every plan; otherwise only the named ones,
+    and a name that is not a default plan raises :class:`ValueError`.
+    """
+    from repro.pfs.chaos import default_fault_plans
+
+    names = [p.name for p in default_fault_plans(seed)]
+    if wanted is None:
+        return tuple(names)
+    wanted = set(wanted)
+    unknown = wanted - set(names)
+    if unknown:
+        raise ValueError(f"unknown plan(s): {', '.join(sorted(unknown))}")
+    return tuple(n for n in names if n in wanted)
+
+
+def chaos_variant(variant, nranks: int, seed: int,
+                  plans: tuple[str, ...]) -> CellSpec:
+    """``chaos-variant``: one configuration under the fault matrix.
+
+    ``plans`` comes from :func:`chaos_plans`; the worker is
+    :func:`chaos_variant_task`.
+    """
+    from repro.pfs.chaos import CHAOS_SEMANTICS, CHAOS_STRIPE_SIZE
+
+    sem_names = tuple(s.name.lower() for s in CHAOS_SEMANTICS)
+    return CellSpec(key_fields={**variant_fields(variant),
+                                "nranks": nranks, "seed": seed,
+                                "plans": list(plans),
+                                "semantics": list(sem_names),
+                                "stripe": CHAOS_STRIPE_SIZE},
+                    task=(variant, nranks, seed, tuple(plans), sem_names,
+                          CHAOS_STRIPE_SIZE))
+
+
+def crossval_cell(variant, nranks: int, seed: int) -> CellSpec:
+    """``crossval-cell``: lint vs the replay oracle (:func:`crossval_task`)."""
+    return CellSpec(key_fields={**variant_fields(variant),
+                                "nranks": nranks, "seed": seed},
+                    task=(variant, nranks, seed))
+
+
+def staticcheck_cell(variant, nranks: int, seed: int) -> CellSpec:
+    """``staticcheck-cell``: static vs dynamic conflicts of one config.
+
+    The worker is :func:`staticcheck_task`.
+    """
+    return CellSpec(key_fields={**variant_fields(variant),
+                                "nranks": nranks, "seed": seed},
+                    task=(variant, nranks, seed))
+
+
+def partition_verify(variant, nranks: int, seed: int,
+                     partitions: int) -> CellSpec:
+    """``partition-verify``: serial vs partitioned ``.rtrc`` bytes.
+
+    The worker is :func:`partition_verify_task`.
+    """
+    return CellSpec(key_fields={**variant_fields(variant),
+                                "nranks": nranks, "seed": seed,
+                                "partitions": partitions},
+                    task=(variant, nranks, seed, partitions))
+
+
+def workflow_cell(producer_ranks: int, reader_ranks: int,
+                  seed: int) -> CellSpec:
+    """``workflow-cell``: the canonical producer/consumer workflow.
+
+    The worker is :func:`workflow_task`.
+    """
+    return CellSpec(key_fields={"producer_ranks": producer_ranks,
+                                "reader_ranks": reader_ranks,
+                                "seed": seed},
+                    task=(producer_ranks, reader_ranks, seed))
 
 
 # -- matrix workers --------------------------------------------------------------
@@ -353,13 +463,21 @@ __all__ = [
     "CellOutcome",
     "CellSpec",
     "MatrixRun",
+    "chaos_plans",
+    "chaos_variant",
     "chaos_variant_task",
+    "crossval_cell",
     "crossval_task",
+    "partition_verify",
     "partition_verify_task",
     "resolve_jobs",
     "run_matrix",
+    "staticcheck_cell",
     "staticcheck_task",
+    "study_cell",
     "study_cell_task",
     "trace_task",
+    "variant_fields",
+    "workflow_cell",
     "workflow_task",
 ]

@@ -157,17 +157,13 @@ def study_cells(nranks: int = 8, seed: int = 7,
     runs of the same configuration produce byte-identical traces, but a
     divergence would otherwise hide behind a warm cache.
     """
-    from repro.study.parallel import CellSpec, run_matrix, study_cell_task
+    from repro.study.parallel import run_matrix, study_cell, study_cell_task
 
     pool = list(variants) if variants is not None else all_variants()
-    specs = [CellSpec(key_fields={"label": v.label,
-                                  "options": dict(sorted(v.options.items())),
-                                  "nranks": nranks, "seed": seed,
-                                  "partitions": partitions},
-                      task=(v, nranks, seed, partitions))
-             for v in pool]
-    return run_matrix("study-cell", specs, study_cell_task,
-                      jobs=jobs, cache=cache)
+    return run_matrix("study-cell",
+                      [study_cell(v, nranks, seed, partitions)
+                       for v in pool],
+                      study_cell_task, jobs=jobs, cache=cache)
 
 
 def matrix_json(cells: list[dict], *, nranks: int, seed: int) -> str:

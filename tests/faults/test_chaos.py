@@ -12,7 +12,7 @@ from repro.pfs.chaos import (
     default_fault_plans,
     run_chaos,
 )
-from repro.study.cli import chaos_main, main
+from repro.study.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +95,8 @@ class TestCellJudgement:
 
 class TestCli:
     def test_chaos_cli_text(self, capsys):
-        rc = chaos_main(["--app", "LAMMPS/NetCDF", "--nranks", "2",
-                         "--plans", "ost-crash"])
+        rc = main(["chaos", "--app", "LAMMPS/NetCDF", "--nranks", "2",
+                   "--plans", "ost-crash"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "LAMMPS-NetCDF" in out and "ost-crash" in out
@@ -112,12 +112,12 @@ class TestCli:
         assert doc["ok"] is True
 
     def test_chaos_cli_usage_errors(self, capsys):
-        assert chaos_main([]) == 2
-        assert chaos_main(["--app", "NoSuchApp"]) == 2
-        assert chaos_main(["--app", "FLASH", "--plans", "bogus"]) == 2
+        assert main(["chaos"]) == 2
+        assert main(["chaos", "--app", "NoSuchApp"]) == 2
+        assert main(["chaos", "--app", "FLASH", "--plans", "bogus"]) == 2
         capsys.readouterr()
 
     def test_chaos_cli_list_plans(self, capsys):
-        assert chaos_main(["--list-plans"]) == 0
+        assert main(["chaos", "--list-plans"]) == 0
         out = capsys.readouterr().out
         assert "flaky-servers" in out

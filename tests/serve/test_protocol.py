@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.serve import protocol
 from repro.serve.handlers import prepare_cell, request_key
-from repro.study.cache import cache_key
 
 
 def roundtrip(doc: dict) -> dict:
@@ -190,14 +189,13 @@ class TestRequestKeys:
 
     def test_cell_key_matches_study_cache(self):
         from repro.serve.handlers import resolve_one_variant
+        from repro.study.runner import study_cells
 
         variant = resolve_one_variant("QMCPACK/HDF5")
         prepared = prepare_cell(
             {"app": "QMCPACK/HDF5", "nranks": 4, "seed": 11})
-        assert prepared.key == cache_key(
-            "study-cell", label=variant.label,
-            options=dict(sorted(variant.options.items())),
-            nranks=4, seed=11)
+        batch = study_cells(nranks=4, seed=11, variants=[variant])
+        assert prepared.key == batch.outcomes[0].key
 
     def test_request_key_rejects_like_the_server(self):
         with pytest.raises(protocol.BadRequest):

@@ -282,8 +282,8 @@ class TestBackpressure:
 class TestDegradedHealth:
     def test_saturated_server_reports_degraded_not_dead(self):
         # healthz must stay informative between binary ok and refusal:
-        # a full admission queue is 'degraded' — routable, but a
-        # failover-aware client should prefer elsewhere
+        # a full admission queue is 'degraded' — still answering, but
+        # the next compute request would be refused
         handle = start_background(
             ServeConfig(workers=1, queue_limit=1, drain_s=5.0,
                         debug=True),
@@ -320,37 +320,53 @@ class TestDegradedHealth:
         assert result["status"] == "ok"
         assert result["degraded"] is False
 
-    def test_degraded_healthz_is_a_failover_signal(self):
-        from repro.serve.client import is_failover_response
 
-        def healthz(status):
-            return {"ok": True, "id": 1,
-                    "result": {"status": status, "queue_limit": 4,
-                               "in_flight": 4}}
+def _batch_cell(cache_dir):
+    from repro.apps.registry import find_variant
+    from repro.study.cache import ResultCache
+    from repro.study.runner import study_cells
 
-        assert is_failover_response(healthz("degraded")) is True
-        assert is_failover_response(healthz("draining")) is True
-        assert is_failover_response(healthz("ok")) is False
+    study_cells(nranks=2, seed=99,
+                variants=[find_variant("QMCPACK", "HDF5")],
+                cache=ResultCache(root=cache_dir))
 
-    def test_failover_classifier_scope(self):
-        # errors: only overloaded/deadline mean "ask another node"
-        from repro.serve.client import is_failover_response
 
-        def err(code):
-            return protocol.error_response(1, code, "boom")
+def _batch_cli(*argv):
+    def run(cache_dir):
+        from repro.study.cli import EXIT_OK, main
 
-        assert is_failover_response(err(protocol.ERR_OVERLOADED))
-        assert is_failover_response(err(protocol.ERR_DEADLINE))
-        assert not is_failover_response(err(protocol.ERR_BAD_REQUEST))
-        assert not is_failover_response(err(protocol.ERR_INTERNAL))
-        # an arbitrary payload carrying 'status' is NOT a health
-        # verdict: only healthz-shaped results are interpreted
-        payload = {"ok": True, "id": 1,
-                   "result": {"status": "failed", "detail": "app"}}
-        assert not is_failover_response(payload)
+        assert main([*argv, "--cache-dir", str(cache_dir)]) == EXIT_OK
+    return run
 
 
 class TestCacheReadThrough:
+    @pytest.mark.parametrize("endpoint, params, batch", [
+        ("cell", {"app": "QMCPACK/HDF5", "nranks": 2, "seed": 99},
+         _batch_cell),
+        ("chaos", {"app": "LAMMPS/NetCDF", "nranks": 2, "seed": 3,
+                   "plans": ["ost-crash"]},
+         _batch_cli("chaos", "--app", "LAMMPS/NetCDF", "--nranks", "2",
+                    "--seed", "3", "--plans", "ost-crash")),
+        ("staticcheck", {"app": "LAMMPS/ADIOS", "nranks": 2, "seed": 5},
+         _batch_cli("staticcheck", "LAMMPS/ADIOS", "--nranks", "2",
+                    "--seed", "5")),
+    ], ids=["cell", "chaos", "staticcheck"])
+    def test_batch_run_is_a_warm_hit(self, tmp_path, capsys, endpoint,
+                                     params, batch):
+        # the batch path and the service build the same cell key, so
+        # whatever the batch run computed the service never recomputes
+        batch(tmp_path / "cache")
+        capsys.readouterr()
+        handle = start_background(
+            ServeConfig(workers=1, drain_s=2.0),
+            cache=ResultCache(root=tmp_path / "cache"))
+        try:
+            doc = ask(handle, endpoint, params, deadline_s=120)
+            assert doc["ok"] is True, doc
+            assert doc["cached"] is True
+        finally:
+            handle.stop()
+
     def test_batch_entries_serve_warm(self, tmp_path):
         # a payload written under the batch CLI's key is a warm hit
         # for the service: the server never recomputes it

@@ -164,6 +164,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Table 1" in out and "Table 4" in out
         assert "Figure 3" in out
+        assert "Running the 28 configurations at 4 ranks" in out
         reports = list(tmp_path.glob("*.report.txt"))
         traces = list(tmp_path.glob("*.trace.jsonl"))
         csvs = list(tmp_path.glob("figure2_*.csv"))

@@ -53,8 +53,43 @@ class TestRatioCeilings:
 
     def test_composes_with_warm_fraction(self):
         fresh = _doc(warm_fraction=0.5, on_off_ratio=9.0,
-                     contracts={"warm_fraction_ceiling": 0.1,
-                                "ratio_ceilings": {"on_off_ratio": 3.0}})
+                     contracts={"ratio_ceilings": {"warm_fraction": 0.1,
+                                                   "on_off_ratio": 3.0}})
+        failures = bench_gate.check_ratio_contracts(fresh)
+        assert len(failures) == 2
+
+
+class TestRatioFloors:
+    def test_above_floor_passes(self):
+        fresh = _doc(speedup=2.5,
+                     contracts={"ratio_floors": {"speedup": 2.0}})
+        assert bench_gate.check_ratio_contracts(fresh) == []
+
+    def test_below_floor_fails(self):
+        fresh = _doc(speedup=1.5,
+                     contracts={"ratio_floors": {"speedup": 2.0}})
+        failures = bench_gate.check_ratio_contracts(fresh)
+        assert len(failures) == 1
+        assert "speedup" in failures[0] and "floor" in failures[0]
+
+    def test_missing_metric_fails(self):
+        fresh = _doc(contracts={"ratio_floors": {"speedup": 2.0}})
+        failures = bench_gate.check_ratio_contracts(fresh)
+        assert len(failures) == 1
+        assert "missing" in failures[0]
+
+    def test_floor_absent_on_small_hosts_is_not_enforced(self):
+        # the parallel-runner bench declares its speedup floor only
+        # where the host has the CPUs to meet it
+        fresh = _doc(speedup=0.5,
+                     contracts={"ratio_ceilings": {"warm_fraction": 0.1}},
+                     warm_fraction=0.01)
+        assert bench_gate.check_ratio_contracts(fresh) == []
+
+    def test_composes_with_ceilings(self):
+        fresh = _doc(speedup=1.0, warm_fraction=0.5,
+                     contracts={"ratio_ceilings": {"warm_fraction": 0.1},
+                                "ratio_floors": {"speedup": 2.0}})
         failures = bench_gate.check_ratio_contracts(fresh)
         assert len(failures) == 2
 

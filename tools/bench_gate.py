@@ -12,8 +12,10 @@ timing metric regresses beyond the tolerance band::
 Two classes of check:
 
 * **ratio contracts** — machine-independent invariants recorded in the
-  fresh document (``warm_fraction`` under its ceiling, ``speedup`` over
-  its floor when the host has enough CPUs).  Always enforced.
+  fresh document: each metric under ``contracts.ratio_ceilings`` must
+  stay at or below its ceiling, each under ``contracts.ratio_floors``
+  at or above its floor (a bench declares a floor only on hosts that
+  can meet it).  Always enforced.
 * **absolute timings** — every ``*_s`` metric must stay within
   ``tolerance x`` of the committed baseline.  Only meaningful between
   comparable hosts, so the comparison is skipped (with a note) when the
@@ -45,34 +47,25 @@ def load(path: Path) -> dict:
     return doc
 
 
+#: contract key -> (how a breach reads, is ``value`` past ``bound``)
+RATIO_BOUNDS = {
+    "ratio_ceilings": ("exceeds ceiling", lambda value, bound: value > bound),
+    "ratio_floors": ("below floor", lambda value, bound: value < bound),
+}
+
+
 def check_ratio_contracts(fresh: dict) -> list[str]:
+    """Every recorded metric against its declared ceiling or floor."""
     failures = []
     contracts = fresh.get("contracts", {})
-    ceiling = contracts.get("warm_fraction_ceiling")
-    if ceiling is not None and fresh.get("warm_fraction") is not None:
-        if fresh["warm_fraction"] > ceiling:
-            failures.append(
-                f"warm_fraction {fresh['warm_fraction']:.3f} exceeds "
-                f"ceiling {ceiling}")
-    floor = contracts.get("speedup_floor")
-    if floor is not None and contracts.get("speedup_enforced") \
-            and fresh.get("speedup") is not None:
-        if fresh["speedup"] < floor:
-            failures.append(
-                f"speedup {fresh['speedup']:.2f}x below floor "
-                f"{floor}x on a {fresh.get('cpu_count')}-cpu host")
-    # generic form: any recorded metric bounded by a per-metric ceiling
-    # (e.g. the obs bench's metrics-on/metrics-off overhead ratio)
-    for metric, ceiling in sorted(
-            contracts.get("ratio_ceilings", {}).items()):
-        value = fresh.get(metric)
-        if value is None:
-            failures.append(
-                f"{metric}: declared in ratio_ceilings but missing "
-                f"from results")
-        elif value > ceiling:
-            failures.append(
-                f"{metric} {value:.3f} exceeds ceiling {ceiling}")
+    for key, (verb, breached) in RATIO_BOUNDS.items():
+        for metric, bound in sorted(contracts.get(key, {}).items()):
+            value = fresh.get(metric)
+            if value is None:
+                failures.append(f"{metric}: declared in {key} but "
+                                f"missing from results")
+            elif breached(value, bound):
+                failures.append(f"{metric} {value:.3f} {verb} {bound}")
     return failures
 
 

@@ -3,9 +3,10 @@
 
 Walks every ``repro`` module, collecting the module docstring's first
 paragraph and the signature + first docstring line of each public class
-and function.  Run after API changes:
+and function.  Run after API changes (a tier-1 test fails while the
+committed file is stale):
 
-    python tools/gen_api_docs.py
+    PYTHONPATH=src python tools/gen_api_docs.py
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def describe_module(name: str) -> list[str]:
     return lines
 
 
-def main() -> int:
+def render() -> str:
+    """The whole of docs/api.md, as the current package documents it."""
     names = ["repro"]
     for info in pkgutil.walk_packages(repro.__path__,
                                       prefix="repro."):
@@ -76,8 +78,13 @@ def main() -> int:
     ]
     for name in sorted(set(names)):
         lines.extend(describe_module(name))
-    OUT.write_text("\n".join(lines).rstrip() + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def main() -> int:
+    text = render()
+    OUT.write_text(text)
+    print(f"wrote {OUT} ({text.count(chr(10))} lines)")
     return 0
 
 
