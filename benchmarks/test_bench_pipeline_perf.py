@@ -7,7 +7,13 @@ end-to-end analyze() call on the densest application trace.
 
 import pytest
 
-from repro.core.conflicts import detect_conflicts
+from repro.core.conflicts import (
+    VisibilityIndex,
+    _candidate_pairs,
+    _is_actual_conflict,
+    count_conflicts,
+    detect_conflicts,
+)
 from repro.core.offsets import reconstruct_offsets
 from repro.core.records import group_by_path
 from repro.core.report import analyze
@@ -28,7 +34,8 @@ def test_bench_conflict_detection_session(benchmark, flash_trace):
     tables = group_by_path(reconstruct_offsets(flash_trace.records))
 
     def run():
-        return detect_conflicts(flash_trace, tables, Semantics.SESSION)
+        return detect_conflicts(VisibilityIndex(flash_trace), tables,
+                                Semantics.SESSION)
 
     cs = benchmark(run)
     assert cs.flags["WAW-D"]
@@ -62,21 +69,25 @@ def test_bench_conflict_engine_python_oracle(benchmark, flash_trace):
     tables = group_by_path(reconstruct_offsets(flash_trace.records))
 
     def run():
-        return detect_conflicts(flash_trace, tables, Semantics.SESSION,
-                                engine="python")
+        vis = VisibilityIndex(flash_trace)
+        return sum(
+            _is_actual_conflict(Semantics.SESSION, vis, path,
+                                table.records[int(i)],
+                                table.records[int(j)])
+            for path, table in tables.items()
+            for i, j in _candidate_pairs(table))
 
-    cs = benchmark(run)
-    assert cs.flags["WAW-D"]
+    n = benchmark(run)
+    assert n == len(detect_conflicts(VisibilityIndex(flash_trace), tables,
+                                     Semantics.SESSION)) > 0
 
 
 def test_bench_conflict_counting_fast_path(benchmark, flash_trace):
     """Count-only analysis (pure numpy, no pair objects) — the path to
     use on very large traces."""
-    from repro.core.conflicts import count_conflicts
-
     tables = group_by_path(reconstruct_offsets(flash_trace.records))
-    counts = benchmark(count_conflicts, flash_trace, tables,
-                       Semantics.SESSION)
+    counts = benchmark(lambda: count_conflicts(
+        VisibilityIndex(flash_trace), tables, Semantics.SESSION))
     assert counts["WAW-D"] > 0
 
 

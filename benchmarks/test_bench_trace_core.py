@@ -79,7 +79,7 @@ def _columnar_pipeline(ct):
 
 def _object_pipeline(tr):
     tables = group_by_path(reconstruct_offsets(tr.records))
-    return count_conflicts(tr, tables, SEMANTICS)
+    return count_conflicts(VisibilityIndex(tr), tables, SEMANTICS)
 
 
 def _best_of(fn, rounds):

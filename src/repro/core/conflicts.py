@@ -75,6 +75,10 @@ class Conflict:
         return f"{self.kind.value}-{self.scope.value}"
 
 
+#: the four Table 4 cells, in the order counts and flags report them
+LABELS = ("WAW-S", "WAW-D", "RAW-S", "RAW-D")
+
+
 @dataclass
 class ConflictSet:
     """All conflicts of a run under one semantics model."""
@@ -102,6 +106,13 @@ class ConflictSet:
             for kind in (ConflictKind.WAW, ConflictKind.RAW)
             for scope in (ConflictScope.SAME, ConflictScope.DIFFERENT)
         }
+
+    def label_counts(self) -> dict[str, int]:
+        """Conflicts per Table 4 cell, every cell present."""
+        out = dict.fromkeys(LABELS, 0)
+        for c in self.conflicts:
+            out[c.label] += 1
+        return out
 
     @property
     def paths(self) -> list[str]:
@@ -328,6 +339,8 @@ def _object_conflict_pairs(table: AccessTable, vis: VisibilityIndex):
 def _is_actual_conflict(semantics: Semantics, vis: VisibilityIndex,
                         path: str, first: AccessRecord,
                         second: AccessRecord) -> bool:
+    """Per-pair binary-search form of the §5.2 conditions: the oracle
+    the vectorized :func:`_actual_conflict_mask` is tested against."""
     if semantics is Semantics.STRONG:
         return False
     if semantics is Semantics.EVENTUAL:
@@ -401,65 +414,60 @@ def _actual_conflict_mask(table: AccessTable, pairs: np.ndarray,
     return conflict
 
 
-def detect_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
-                              semantics: Semantics,
-                              max_conflicts: int | None = None,
-                              engine: str = "vectorized",
-                              ) -> list[Conflict]:
-    """Classify every overlapping pair of one file's accesses.
+def _candidate_pairs(table: AccessTable) -> np.ndarray:
+    """Potential conflicts of one file: overlapping pairs whose first op
+    (by entry timestamp, ``t1 < t2``) is a write.
 
-    ``engine="vectorized"`` (default) evaluates the visibility
-    conditions in numpy batches; ``engine="python"`` keeps the per-pair
-    binary-search form — retained as the test oracle.  Under ``OBJECT``
-    semantics pairing is whole-object (session granularity) and both
-    engines share the one implementation.
+    Returns an ``(P, 2)`` row-index array in report order: by first
+    access time, then second.
     """
-    if semantics is Semantics.OBJECT:
-        fr, sr, waw, same = _object_conflict_pairs(table, vis)
-        out = []
-        for k in range(len(fr)):
-            out.append(Conflict(
-                path=table.path,
-                kind=ConflictKind.WAW if waw[k] else ConflictKind.RAW,
-                scope=(ConflictScope.SAME if same[k]
-                       else ConflictScope.DIFFERENT),
-                first=table.records[int(fr[k])],
-                second=table.records[int(sr[k])]))
-            if max_conflicts is not None and len(out) >= max_conflicts:
-                break
-        return out
     pairs = find_overlaps(table)
-    out: list[Conflict] = []
-    if not len(pairs):
-        return out
-    # order each pair by entry timestamp (t1 < t2)
     t = table.tstart
     swap = t[pairs[:, 0]] > t[pairs[:, 1]]
     pairs[swap] = pairs[swap][:, ::-1]
-    # only pairs whose first op is a write can conflict
     pairs = pairs[table.is_write[pairs[:, 0]]]
-    if not len(pairs):
-        return out
-    # deterministic report order: by first access time, then second
     order = np.lexsort((t[pairs[:, 1]], t[pairs[:, 0]]))
-    pairs = pairs[order]
-    if engine == "vectorized":
-        mask = _actual_conflict_mask(table, pairs, vis, semantics)
-        pairs = pairs[mask]
-    for i, j in pairs:
-        first = table.records[int(i)]
-        second = table.records[int(j)]
-        if engine != "vectorized" and not _is_actual_conflict(
-                semantics, vis, table.path, first, second):
-            continue
-        kind = ConflictKind.WAW if second.is_write else ConflictKind.RAW
-        scope = (ConflictScope.SAME if first.rank == second.rank
-                 else ConflictScope.DIFFERENT)
-        out.append(Conflict(path=table.path, kind=kind, scope=scope,
-                            first=first, second=second))
-        if max_conflicts is not None and len(out) >= max_conflicts:
-            break
-    return out
+    return pairs[order]
+
+
+def _conflict_pairs(table: AccessTable, vis: VisibilityIndex,
+                    semantics: Semantics):
+    """Every actual conflict of one file under one model, as arrays.
+
+    Returns ``(first_row, second_row, waw, same)`` in report order: row
+    indices into ``table`` plus kind and scope masks.  Detection and
+    counting both read this one classifier.
+    """
+    if semantics is Semantics.OBJECT:
+        return _object_conflict_pairs(table, vis)
+    pairs = _candidate_pairs(table)
+    pairs = pairs[_actual_conflict_mask(table, pairs, vis, semantics)]
+    first, second = pairs[:, 0], pairs[:, 1]
+    return (first, second, table.is_write[second],
+            table.rank[first] == table.rank[second])
+
+
+def detect_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
+                              semantics: Semantics,
+                              max_conflicts: int | None = None,
+                              ) -> list[Conflict]:
+    """Classify every overlapping pair of one file's accesses.
+
+    Under ``OBJECT`` semantics pairing is whole-object (session
+    granularity) rather than byte overlap.
+    """
+    fr, sr, waw, same = (a[:max_conflicts] for a in
+                         _conflict_pairs(table, vis, semantics))
+    if not len(fr):
+        return []
+    records = table.records
+    return [Conflict(path=table.path,
+                     kind=ConflictKind.WAW if w else ConflictKind.RAW,
+                     scope=ConflictScope.SAME if s
+                     else ConflictScope.DIFFERENT,
+                     first=records[i], second=records[j])
+            for i, j, w, s in zip(fr.tolist(), sr.tolist(),
+                                  waw.tolist(), same.tolist())]
 
 
 def count_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
@@ -469,41 +477,17 @@ def count_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
     Pure-numpy fast path for large traces: returns
     ``{"WAW-S": n, "WAW-D": n, "RAW-S": n, "RAW-D": n}``.
     """
-    out = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
-    if semantics is Semantics.OBJECT:
-        _, _, waw, same = _object_conflict_pairs(table, vis)
-        out["WAW-S"] = int(np.sum(waw & same))
-        out["WAW-D"] = int(np.sum(waw & ~same))
-        out["RAW-S"] = int(np.sum(~waw & same))
-        out["RAW-D"] = int(np.sum(~waw & ~same))
-        return out
-    pairs = find_overlaps(table)
-    if not len(pairs):
-        return out
-    t = table.tstart
-    swap = t[pairs[:, 0]] > t[pairs[:, 1]]
-    pairs[swap] = pairs[swap][:, ::-1]
-    pairs = pairs[table.is_write[pairs[:, 0]]]
-    if not len(pairs):
-        return out
-    mask = _actual_conflict_mask(table, pairs, vis, semantics)
-    pairs = pairs[mask]
-    if not len(pairs):
-        return out
-    waw = table.is_write[pairs[:, 1]]
-    same = table.rank[pairs[:, 0]] == table.rank[pairs[:, 1]]
-    out["WAW-S"] = int(np.sum(waw & same))
-    out["WAW-D"] = int(np.sum(waw & ~same))
-    out["RAW-S"] = int(np.sum(~waw & same))
-    out["RAW-D"] = int(np.sum(~waw & ~same))
-    return out
+    _, _, waw, same = _conflict_pairs(table, vis, semantics)
+    return {"WAW-S": int(np.sum(waw & same)),
+            "WAW-D": int(np.sum(waw & ~same)),
+            "RAW-S": int(np.sum(~waw & same)),
+            "RAW-D": int(np.sum(~waw & ~same))}
 
 
-def count_conflicts(trace: Trace, tables: dict[str, AccessTable],
+def count_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
                     semantics: Semantics) -> dict[str, int]:
     """Whole-trace conflict counts by class (numpy fast path)."""
-    vis = VisibilityIndex(trace)
-    total = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
+    total = dict.fromkeys(LABELS, 0)
     for path in sorted(tables):
         for key, n in count_conflicts_in_table(
                 tables[path], vis, semantics).items():
@@ -525,24 +509,18 @@ def count_conflicts_columnar(ct, semantics: Semantics,
 
     if tables is None:
         tables = reconstruct_tables_columnar(ct)
-    vis = VisibilityIndex.from_columnar(ct)
-    total = {"WAW-S": 0, "WAW-D": 0, "RAW-S": 0, "RAW-D": 0}
-    for path in sorted(tables):
-        for key, n in count_conflicts_in_table(
-                tables[path], vis, semantics).items():
-            total[key] += n
-    return total
+    return count_conflicts(VisibilityIndex.from_columnar(ct), tables,
+                           semantics)
 
 
-def detect_conflicts(trace: Trace, tables: dict[str, AccessTable],
+def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],
                      semantics: Semantics,
                      max_conflicts_per_file: int | None = None,
-                     engine: str = "vectorized") -> ConflictSet:
+                     ) -> ConflictSet:
     """Run conflict detection over every file of a trace."""
-    vis = VisibilityIndex(trace)
     cs = ConflictSet(semantics)
     for path in sorted(tables):
         cs.conflicts.extend(detect_conflicts_in_table(
             tables[path], vis, semantics,
-            max_conflicts=max_conflicts_per_file, engine=engine))
+            max_conflicts=max_conflicts_per_file))
     return cs

@@ -4,6 +4,11 @@
 memoizes each analysis and renders the per-application report the paper
 published alongside its data (function counters, I/O sizes, per-file
 conflicts, pattern mixes, metadata usage, semantics verdict).
+
+``RunReport`` is the only place the §5.1 → §5.2 pipeline is assembled:
+lint rules, the lint cross-check, the static-checker soundness harness
+and the columnar round trip all read one report per trace, so each
+trace gets one offset reconstruction and one visibility index.
 """
 
 from __future__ import annotations
@@ -12,7 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.advisor import FixSuggestion, suggest_fixes
-from repro.core.conflicts import ConflictSet, detect_conflicts
+from repro.core.conflicts import (
+    ConflictSet,
+    VisibilityIndex,
+    detect_conflicts,
+)
 from repro.core.highlevel import SharingPattern, classify_sharing
 from repro.core.metadata import MetadataUsage, metadata_usage
 from repro.core.metadata_conflicts import (
@@ -34,11 +43,20 @@ from repro.core.semantics import (
     object_store_compatible,
     weakest_sufficient_semantics,
 )
-from repro.core.happens_before import RaceReport, validate_race_freedom
+from repro.core.happens_before import (
+    HappensBefore,
+    RaceReport,
+    validate_race_freedom,
+)
 from repro.tracer.profile import TraceProfile, profile_trace
 from repro.tracer.trace import Trace
 from repro.util.formatting import human_bytes, percentage
 from repro.util.tables import AsciiTable
+
+
+#: default per-file conflict cap of the report path: the Table 4 flags
+#: and file lists need far fewer pairs than a pathological file can hold
+MAX_CONFLICTS_PER_FILE = 10_000
 
 
 @dataclass
@@ -58,14 +76,27 @@ class RunReport:
     def tables(self) -> dict[str, AccessTable]:
         return group_by_path(self.accesses)
 
+    @cached_property
+    def visibility(self) -> VisibilityIndex:
+        """Per (rank, path) open/close/commit timelines (§5.2 cond. 3-4)."""
+        return VisibilityIndex(self.trace)
+
+    @cached_property
+    def happens_before(self) -> HappensBefore:
+        return HappensBefore(self.trace)
+
     def conflicts(self, semantics: Semantics,
-                  max_per_file: int | None = 10_000) -> ConflictSet:
+                  max_per_file: int | None = MAX_CONFLICTS_PER_FILE,
+                  ) -> ConflictSet:
+        """Conflict set under one model, cached per (model, cap);
+        ``max_per_file=None`` is uncapped."""
+        key = (semantics, max_per_file)
         cache = self.__dict__.setdefault("_conflict_cache", {})
-        if semantics not in cache:
-            cache[semantics] = detect_conflicts(
-                self.trace, self.tables, semantics,
+        if key not in cache:
+            cache[key] = detect_conflicts(
+                self.visibility, self.tables, semantics,
                 max_conflicts_per_file=max_per_file)
-        return cache[semantics]
+        return cache[key]
 
     @cached_property
     def conflicts_by_model(self) -> dict[Semantics, ConflictSet]:

@@ -13,9 +13,10 @@ Layout:
 * :mod:`~repro.lint.diagnostics` — severities, diagnostics, reports;
 * :mod:`~repro.lint.registry` — the rule base class and discovery
   registry (``@register_rule``, mirroring :mod:`repro.apps.registry`);
-* :mod:`~repro.lint.context` — lazily shared analysis artifacts
-  (access tables, visibility index, happens-before clocks);
-* :mod:`~repro.lint.rules` — the built-in rule catalogue L001–L010;
+* :mod:`~repro.lint.context` — conflict-pair accessors; rules read
+  one :class:`~repro.core.report.RunReport` per trace (access tables,
+  visibility index, happens-before clocks);
+* :mod:`~repro.lint.rules` — the built-in rule catalogue L001–L011;
 * :mod:`~repro.lint.reporters` — text and stable-JSON rendering;
 * :mod:`~repro.lint.runner` — ``lint_trace`` / ``lint_variant`` /
   ``lint_all`` / ``lint_columnar`` drivers;
@@ -25,7 +26,6 @@ Layout:
 CLI: ``python -m repro.study lint <app|--all> [--format json]``.
 """
 
-from repro.lint.context import LintContext
 from repro.lint.crossval import CrossValidation, crossvalidate_trace
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.registry import (
@@ -46,7 +46,6 @@ from repro.lint.runner import (
 __all__ = [
     "CrossValidation",
     "Diagnostic",
-    "LintContext",
     "LintReport",
     "LintRule",
     "Severity",

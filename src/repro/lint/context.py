@@ -1,110 +1,21 @@
-"""Shared, lazily-computed analysis artifacts for lint rules.
+"""Conflict accessors shared by lint rules and the lint cross-check.
 
-Every rule pass receives one :class:`LintContext`.  Expensive artifacts
-(offset reconstruction, per-file access tables, the visibility index,
-the happens-before vector clocks, per-semantics conflict sets) are
-computed once on first use and shared by all rules, so a full lint run
-costs roughly one analysis pipeline regardless of how many rules run.
+Every rule pass receives one :class:`~repro.core.report.RunReport`: its
+lazily computed artifacts (offset reconstruction, per-file access
+tables, the visibility index, the happens-before vector clocks,
+per-semantics conflict sets) are built once and shared by all rules, so
+a full lint run costs roughly one analysis pipeline regardless of how
+many rules run.
 
-Conflict sets here are **uncapped** (``max_conflicts_per_file=None``):
-the linter's contract is *zero false negatives* against the Table 4
-replay pipeline, so it must never drop a pair that the capped report
-path might still surface.
+Rules read **uncapped** conflict sets (``report.conflicts(s,
+max_per_file=None)``): the linter's contract is *zero false negatives*
+against the Table 4 replay pipeline, so it must never drop a pair that
+the capped report path might still surface.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from repro.core.conflicts import (
-    Conflict,
-    ConflictScope,
-    ConflictSet,
-    VisibilityIndex,
-    detect_conflicts,
-)
-from repro.core.happens_before import HappensBefore
-from repro.core.metadata_conflicts import (
-    MetadataConflictSet,
-    detect_metadata_conflicts,
-)
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import AccessRecord, AccessTable, group_by_path
-from repro.core.semantics import Semantics
-from repro.tracer.events import Layer, TraceRecord
-from repro.tracer.trace import Trace
-
-
-class LintContext:
-    """One trace plus every shared analysis artifact, computed lazily."""
-
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        self._conflict_cache: dict[Semantics, ConflictSet] = {}
-
-    # -- identity --------------------------------------------------------------
-
-    @property
-    def nranks(self) -> int:
-        return self.trace.nranks
-
-    @property
-    def label(self) -> str:
-        meta = self.trace.meta
-        app = meta.get("application", meta.get("app", "run"))
-        lib = meta.get("io_library")
-        return f"{app}-{lib}" if lib else str(app)
-
-    # -- pipeline artifacts -----------------------------------------------------
-
-    @cached_property
-    def posix_records(self) -> list[TraceRecord]:
-        """POSIX-layer records in global timestamp order."""
-        return self.trace.posix_records
-
-    @cached_property
-    def accesses(self) -> list[AccessRecord]:
-        """Offset-resolved POSIX data accesses (§5.1), time-sorted."""
-        out = reconstruct_offsets(self.trace.records)
-        out.sort(key=lambda a: (a.tstart, a.rid))
-        return out
-
-    @cached_property
-    def tables(self) -> dict[str, AccessTable]:
-        return group_by_path(self.accesses)
-
-    @cached_property
-    def visibility(self) -> VisibilityIndex:
-        return VisibilityIndex(self.trace)
-
-    @cached_property
-    def happens_before(self) -> HappensBefore:
-        return HappensBefore(self.trace)
-
-    @cached_property
-    def metadata_conflicts(self) -> MetadataConflictSet:
-        return detect_metadata_conflicts(self.trace)
-
-    def conflicts(self, semantics: Semantics) -> ConflictSet:
-        """Uncapped conflict set under one model (cached per model)."""
-        cs = self._conflict_cache.get(semantics)
-        if cs is None:
-            cs = detect_conflicts(self.trace, self.tables, semantics,
-                                  max_conflicts_per_file=None)
-            self._conflict_cache[semantics] = cs
-        return cs
-
-    # -- happens-before helpers -------------------------------------------------
-
-    def pair_ordered(self, first: AccessRecord,
-                     second: AccessRecord) -> bool:
-        """Is the (timestamp-ordered) pair ordered by synchronization?"""
-        return self.happens_before.access_ordered(first, second)
-
-    def pair_ordered_backward(self, first: AccessRecord,
-                              second: AccessRecord) -> bool:
-        """Does synchronization order the pair *against* its timestamps?"""
-        return self.happens_before.access_ordered(second, first)
+from repro.core.conflicts import Conflict, ConflictScope
 
 
 def conflict_pair_ids(conflict: Conflict) -> tuple[int, int]:

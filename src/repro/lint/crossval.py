@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.conflicts import detect_conflicts
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import group_by_path
+from repro.core.report import MAX_CONFLICTS_PER_FILE, RunReport
 from repro.core.semantics import Semantics
 from repro.lint.diagnostics import LintReport
 from repro.lint.runner import lint_trace
@@ -71,26 +69,26 @@ def lint_hazard_pairs(report: LintReport,
     return out
 
 
-def crossvalidate_trace(trace: Trace, report: LintReport | None = None,
-                        *, label: str | None = None,
-                        max_conflicts_per_file: int | None = 10_000,
-                        ) -> CrossValidation:
+def crossvalidate_trace(
+        trace: Trace, report: LintReport | None = None, *,
+        label: str | None = None,
+        max_conflicts_per_file: int | None = MAX_CONFLICTS_PER_FILE,
+) -> CrossValidation:
     """Compare one trace's lint verdicts against the §5.2 detector.
 
-    ``max_conflicts_per_file`` mirrors the default cap used by the
-    Table 4 report pipeline; the linter itself is uncapped, so the
-    superset requirement must hold regardless of the cap.
+    The oracle is a :class:`~repro.core.report.RunReport` of the trace,
+    at the Table 4 report pipeline's default cap unless
+    ``max_conflicts_per_file`` says otherwise; the linter itself is
+    uncapped, so the superset requirement must hold regardless of the
+    cap.
     """
     if report is None:
         report = lint_trace(trace, label=label)
-    accesses = reconstruct_offsets(trace.records)
-    tables = group_by_path(accesses)
+    analysis = RunReport(trace)
     result = CrossValidation(label=label or report.label)
     for semantics, rule in sorted(HAZARD_RULE_OF.items(),
                                   key=lambda kv: kv[0].value):
-        oracle = detect_conflicts(
-            trace, tables, semantics,
-            max_conflicts_per_file=max_conflicts_per_file)
+        oracle = analysis.conflicts(semantics, max_conflicts_per_file)
         flagged = lint_hazard_pairs(report, semantics)
         oracle_pairs = {(c.first.rid, c.second.rid) for c in oracle}
         result.checked_pairs += len(oracle_pairs)

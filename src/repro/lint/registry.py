@@ -10,24 +10,22 @@ registry for "all rules" or a named subset.  Adding a rule is::
         name = "my-rule"
         summary = "one line shown by --list-rules"
 
-        def check(self, ctx):
+        def check(self, report):
             yield self.diagnostic(Severity.WARNING, "...", path="/f")
 
 Rules are stateless; :meth:`LintRule.check` receives a
-:class:`~repro.lint.context.LintContext` holding the trace and every
+:class:`~repro.core.report.RunReport` holding the trace and every
 shared (lazily computed) analysis artifact.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
+from repro.core.report import RunReport
 from repro.errors import LintError
 from repro.lint.diagnostics import Diagnostic, Severity
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.context import LintContext
 
 
 class LintRule(abc.ABC):
@@ -41,7 +39,7 @@ class LintRule(abc.ABC):
     summary: str = ""
 
     @abc.abstractmethod
-    def check(self, ctx: "LintContext") -> Iterable[Diagnostic]:
+    def check(self, report: RunReport) -> Iterable[Diagnostic]:
         """Yield diagnostics for one trace."""
 
     def diagnostic(self, severity: Severity, message: str,

@@ -38,12 +38,9 @@ from typing import Iterable, Iterator
 from repro.core.advisor import suggest_fixes
 from repro.core.conflicts import Conflict, ConflictKind, ConflictSet
 from repro.core.metadata_conflicts import is_creating_open
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
-from repro.lint.context import (
-    LintContext,
-    conflict_pair_ids,
-    is_cross_process,
-)
+from repro.lint.context import conflict_pair_ids, is_cross_process
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import LintRule, register_rule
 from repro.tracer.events import (
@@ -67,10 +64,10 @@ def _group_conflicts(conflicts: Iterable[Conflict]
     return out
 
 
-def _hazard_diagnostics(rule: "LintRule", ctx: LintContext,
+def _hazard_diagnostics(rule: "LintRule", report: RunReport,
                         semantics: Semantics) -> Iterator[Diagnostic]:
     """Shared body of the commit/session hazard rules (L001/L002)."""
-    cs = ctx.conflicts(semantics)
+    cs = report.conflicts(semantics, max_per_file=None)
     for (path, label), group in sorted(_group_conflicts(cs).items()):
         cross = is_cross_process(group[0])
         severity = Severity.ERROR if cross else Severity.WARNING
@@ -101,8 +98,8 @@ class CommitHazardRule(LintRule):
     summary = ("overlapping write-first pairs with no commit operation "
                "between them (unsafe on commit-semantics PFSs)")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        return _hazard_diagnostics(self, ctx, Semantics.COMMIT)
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        return _hazard_diagnostics(self, report, Semantics.COMMIT)
 
 
 @register_rule
@@ -115,8 +112,8 @@ class SessionHazardRule(LintRule):
                "session boundary between them (unsafe on session-"
                "semantics PFSs)")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        return _hazard_diagnostics(self, ctx, Semantics.SESSION)
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        return _hazard_diagnostics(self, report, Semantics.SESSION)
 
 
 @register_rule
@@ -129,20 +126,22 @@ class UnorderedRaceRule(LintRule):
     summary = ("cross-process potential conflicts with no communication "
                "chain ordering the two accesses (true data races)")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        potential = ctx.conflicts(Semantics.EVENTUAL).cross_process_only
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        potential = report.conflicts(
+            Semantics.EVENTUAL, max_per_file=None).cross_process_only
         if not potential:
             return
         races: dict[tuple[str, str], list[Conflict]] = {}
         skewed: dict[str, list[Conflict]] = {}
         seen: set[tuple[int, int]] = set()
+        ordered = report.happens_before.access_ordered
         for c in potential:
             key = conflict_pair_ids(c)
             if key in seen:
                 continue
             seen.add(key)
-            forward = ctx.pair_ordered(c.first, c.second)
-            backward = ctx.pair_ordered_backward(c.first, c.second)
+            forward = ordered(c.first, c.second)
+            backward = ordered(c.second, c.first)
             if not forward and not backward:
                 races.setdefault((c.path, c.label), []).append(c)
             elif backward and not forward:
@@ -188,12 +187,12 @@ class MissingCommitOnHandoffRule(LintRule):
     summary = ("cross-process RAW pairs ordered by communication but "
                "with no commit operation publishing the written bytes")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
         handoffs: dict[str, list[Conflict]] = {}
-        for c in ctx.conflicts(Semantics.COMMIT):
+        for c in report.conflicts(Semantics.COMMIT, max_per_file=None):
             if c.kind is not ConflictKind.RAW or not is_cross_process(c):
                 continue
-            if ctx.pair_ordered(c.first, c.second):
+            if report.happens_before.access_ordered(c.first, c.second):
                 handoffs.setdefault(c.path, []).append(c)
         for path, group in sorted(handoffs.items()):
             first = min(group, key=lambda c: c.first.tstart)
@@ -226,19 +225,19 @@ class DeadCommitRule(LintRule):
     summary = ("fsync/fdatasync/fflush calls that publish no new bytes "
                "or protect no subsequent reader")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
         # first read of each path after a given time, from the resolved
         # accesses (any rank)
         read_times: dict[str, list[float]] = {}
         dirty: dict[tuple[int, str], bool] = {}
-        for acc in ctx.accesses:
+        for acc in report.accesses:
             if not acc.is_write:
                 read_times.setdefault(acc.path, []).append(acc.tstart)
         last_read: dict[str, float] = {
             p: max(ts) for p, ts in read_times.items()}
         noop: dict[tuple[int, str], list[TraceRecord]] = {}
         unread: dict[tuple[int, str], list[TraceRecord]] = {}
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.path is None:
                 continue
             if rec.func in DATA_OPS and rec.op_class.value == "write":
@@ -283,10 +282,10 @@ class FdHygieneRule(LintRule):
     name = "fd-hygiene"
     summary = "unmatched open/close pairs and descriptors never closed"
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
         open_fds: dict[int, dict[int, TraceRecord]] = {}
         stray: dict[int, list[TraceRecord]] = {}
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.fd is None:
                 continue
             table = open_fds.setdefault(rec.rank, {})
@@ -341,23 +340,23 @@ class ReadBeforeAnyWriteRule(LintRule):
     summary = ("reads of never-written byte ranges in files created "
                "by the traced run")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
         created: set[str] = set()
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.path is not None and is_creating_open(rec):
                 created.add(rec.path)
         if not created:
             return
         written: dict[str, IntervalSet] = {}
         for path in created:
-            table = ctx.tables.get(path)
+            table = report.tables.get(path)
             if table is None:
                 continue
             written[path] = IntervalSet(
                 Interval(a.offset, a.stop) for a in table
                 if a.is_write)
         bad: dict[str, list[tuple[int, int, int]]] = {}
-        for acc in ctx.accesses:
+        for acc in report.accesses:
             if acc.is_write or acc.path not in created:
                 continue
             holes = IntervalSet([Interval(acc.offset, acc.stop)]).subtract(
@@ -389,8 +388,8 @@ class MetadataVisibilityRule(LintRule):
                "mkdir/use, rename/use) that relaxed metadata "
                "consistency can break")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        cross = ctx.metadata_conflicts.cross_process
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        cross = report.metadata_conflicts.cross_process
         grouped: dict[tuple[str, str], list] = {}
         for mc in cross:
             grouped.setdefault((mc.path, mc.kind.value), []).append(mc)
@@ -424,8 +423,8 @@ class EventualHazardRule(LintRule):
     summary = ("potential conflicts with no visibility-forcing fix "
                "under eventual consistency (the app's semantics floor)")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        cs = ctx.conflicts(Semantics.EVENTUAL)
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        cs = report.conflicts(Semantics.EVENTUAL, max_per_file=None)
         by_path: dict[str, dict[str, int]] = {}
         first_time: dict[str, float] = {}
         for c in cs:
@@ -467,14 +466,14 @@ class DataAtRiskOnCrashRule(LintRule):
     #: per-(rank, path) stream states
     _CLEAN, _DIRTY, _COMMITTED = 0, 1, 2
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
         # zero-length writes publish nothing and are no-ops on replay
-        write_rids = {a.rid for a in ctx.accesses
+        write_rids = {a.rid for a in report.accesses
                       if a.is_write and a.nbytes > 0}
         state: dict[tuple[int, str], int] = {}
         last_write: dict[tuple[int, str], TraceRecord] = {}
         writes_since: dict[tuple[int, str], int] = {}
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.path is None:
                 continue
             key = (rec.rank, rec.path)
@@ -536,15 +535,15 @@ class RenameAsCommitRule(LintRule):
     summary = ("rename publishing freshly written data — atomic on "
                "POSIX, copy+delete (non-atomic) on object stores")
 
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        written = {path for path, table in ctx.tables.items()
+    def check(self, report: RunReport) -> Iterator[Diagnostic]:
+        written = {path for path, table in report.tables.items()
                    if bool(table.is_write.any())}
         consumers: dict[str, list[TraceRecord]] = {}
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.path is not None and (rec.func in OPEN_OPS
                                          or rec.func in DATA_OPS):
                 consumers.setdefault(rec.path, []).append(rec)
-        for rec in ctx.posix_records:
+        for rec in report.trace.posix_records:
             if rec.func != "rename" or rec.path is None:
                 continue
             if rec.path not in written:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.apps.registry import RunVariant, all_variants
-from repro.lint.context import LintContext
+from repro.core.report import RunReport
 from repro.lint.diagnostics import LintReport
 from repro.lint.registry import LintRule, resolve_rules
 from repro.tracer.trace import Trace
@@ -30,13 +30,13 @@ def lint_trace(trace: Trace, rules: Sequence[LintRule | str] | None = None,
             resolved.extend(resolve_rules([rule]))
         else:
             resolved.append(rule)
-    ctx = LintContext(trace)
+    analysis = RunReport(trace)
     report = LintReport(
-        label=label if label is not None else ctx.label,
+        label=label if label is not None else analysis.name,
         nranks=trace.nranks,
         rules_run=tuple(r.name for r in resolved))
     for rule in resolved:
-        report.diagnostics.extend(rule.check(ctx))
+        report.diagnostics.extend(rule.check(analysis))
     return report.sorted()
 
 

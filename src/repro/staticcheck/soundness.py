@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from fnmatch import fnmatchcase
 
-from repro.core.conflicts import detect_conflicts
-from repro.core.offsets import reconstruct_offsets
-from repro.core.records import group_by_path
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
 from repro.staticcheck.engine import StaticPrediction, evaluate
 from repro.staticcheck.ir import SEMANTICS_NAMES
@@ -35,11 +33,10 @@ SEMANTICS_OF = {
 }
 
 
-def dynamic_conflict_keys(trace, tables,
-                          semantics: Semantics) -> set[tuple[str, str, str]]:
+def dynamic_conflict_keys(report: RunReport, semantics: Semantics
+                          ) -> set[tuple[str, str, str]]:
     """The dynamic detector's verdict as ``(path, kind, scope)`` keys."""
-    found = detect_conflicts(trace, tables, semantics,
-                             max_conflicts_per_file=None)
+    found = report.conflicts(semantics, max_per_file=None)
     return {(c.path, c.kind.value, c.scope.value) for c in found}
 
 
@@ -78,14 +75,12 @@ def staticcheck_variant(variant, *, nranks: int = 8, seed: int = 7) -> dict:
     cfg = variant.config(nranks=nranks, seed=seed)
     plan = variant.io_plan(cfg)
     prediction = evaluate(plan)
-    trace = variant.run(nranks=nranks, seed=seed)
-    accesses = reconstruct_offsets(trace.records)
-    tables = group_by_path(accesses)
+    report = RunReport(variant.run(nranks=nranks, seed=seed))
     per_sem: dict[str, dict] = {}
     total_predicted = total_matched = 0
     sound = True
     for name in SEMANTICS_NAMES:
-        observed = dynamic_conflict_keys(trace, tables, SEMANTICS_OF[name])
+        observed = dynamic_conflict_keys(report, SEMANTICS_OF[name])
         cell = compare_semantics(prediction, name, observed)
         per_sem[name] = cell
         total_predicted += cell["predicted"]

@@ -712,12 +712,8 @@ def _roundtrip(inv: _Invocation) -> Outcome:
     """
     import tempfile
 
-    from repro.core.conflicts import (
-        count_conflicts,
-        count_conflicts_columnar,
-    )
-    from repro.core.offsets import reconstruct_offsets
-    from repro.core.records import group_by_path
+    from repro.core.conflicts import count_conflicts_columnar
+    from repro.core.report import RunReport
     from repro.study.runner import cell_summary, matrix_json
     from repro.tracer.columnar import ColumnarTrace, read_rtrc
 
@@ -747,10 +743,11 @@ def _roundtrip(inv: _Invocation) -> Outcome:
                 matrix_json([before], nranks=args.nranks, seed=args.seed)
                 == matrix_json([after], nranks=args.nranks,
                                seed=args.seed))
-            tables = group_by_path(reconstruct_offsets(trace.records))
+            report = RunReport(trace)
             counts_ok = all(
                 count_conflicts_columnar(loaded, semantics)
-                == count_conflicts(trace, tables, semantics)
+                == report.conflicts(semantics,
+                                    max_per_file=None).label_counts()
                 for semantics in Semantics)
             ok = report_ok and counts_ok
             failures += not ok

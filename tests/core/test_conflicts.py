@@ -15,6 +15,7 @@ from repro.core.conflicts import (
 )
 from repro.core.records import group_by_path
 from repro.core.offsets import reconstruct_offsets
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
 from repro.tracer.events import Layer
 from repro.tracer.recorder import Recorder
@@ -65,7 +66,7 @@ class TraceBuilder:
     def conflicts(self, semantics):
         trace = self.rec.build_trace()
         tables = group_by_path(reconstruct_offsets(trace.records))
-        return detect_conflicts(trace, tables, semantics)
+        return detect_conflicts(VisibilityIndex(trace), tables, semantics)
 
 
 class TestPotentialConflictShape:
@@ -279,9 +280,26 @@ class TestConflictSet:
             b.write(1, "/f", 0, 10)
         trace = b.rec.build_trace()
         tables = group_by_path(reconstruct_offsets(trace.records))
-        capped = detect_conflicts(trace, tables, Semantics.SESSION,
+        capped = detect_conflicts(VisibilityIndex(trace), tables,
+                                  Semantics.SESSION,
                                   max_conflicts_per_file=5)
         assert len(capped) == 5
+
+    def test_report_caches_each_cap_separately(self):
+        # a capped query must not answer a later uncapped one
+        b = TraceBuilder()
+        b.open(0, "/f").open(1, "/f")
+        for _ in range(10):
+            b.write(0, "/f", 0, 10)
+            b.write(1, "/f", 0, 10)
+        trace = b.rec.build_trace()
+        full = len(RunReport(trace).conflicts(Semantics.SESSION,
+                                              max_per_file=None))
+        report = RunReport(trace)
+        assert len(report.conflicts(Semantics.SESSION, max_per_file=1)) == 1
+        assert len(report.conflicts(Semantics.SESSION,
+                                    max_per_file=None)) == full > 1
+        assert len(report.conflicts(Semantics.SESSION)) == full
 
 
 class TestVisibilityIndex:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import offsets
 from repro.core.conflicts import (
+    VisibilityIndex,
     count_conflicts,
     count_conflicts_columnar,
 )
@@ -68,7 +69,7 @@ class TestSynthParity:
         tables = group_by_path(reconstruct_offsets(tr.records))
         for semantics in Semantics:
             assert count_conflicts_columnar(synth, semantics) == \
-                count_conflicts(tr, tables, semantics)
+                count_conflicts(VisibilityIndex(tr), tables, semantics)
 
 
 def _traced(program, nranks=1):

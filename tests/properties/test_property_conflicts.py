@@ -12,7 +12,7 @@ Invariants from the paper's definitions:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflicts import detect_conflicts
+from repro.core.conflicts import VisibilityIndex, detect_conflicts
 from repro.core.offsets import reconstruct_offsets
 from repro.core.records import group_by_path
 from repro.core.semantics import Semantics
@@ -70,7 +70,7 @@ def build_trace(events):
 
 def conflicts_for(trace, semantics):
     tables = group_by_path(reconstruct_offsets(trace.records))
-    cs = detect_conflicts(trace, tables, semantics)
+    cs = detect_conflicts(VisibilityIndex(trace), tables, semantics)
     return {(c.first.rid, c.second.rid) for c in cs}, cs
 
 

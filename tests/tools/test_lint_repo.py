@@ -214,6 +214,50 @@ class TestPerOpLoops:
             "for v in c['rid'].tolist():\n    use(v)\n")
 
 
+def check_pipeline(source, name="x.py"):
+    return lint_repo.check_no_pipeline_assembly(
+        ast.parse(source), Path(name), source)
+
+
+class TestPipelineAssembly:
+    def test_each_stage_call_flagged(self):
+        for name in ("detect_conflicts(vis, tables, s)",
+                     "count_conflicts(vis, tables, s)",
+                     "group_by_path(accesses)",
+                     "VisibilityIndex(trace)"):
+            out = check_pipeline(f"x = {name}\n")
+            assert len(out) == 1, name
+            assert out[0].rule == "no-pipeline-assembly"
+            assert name.split("(")[0] in out[0].message
+
+    def test_module_attribute_call_flagged(self):
+        out = check_pipeline("cs = conflicts.detect_conflicts(v, t, s)\n")
+        assert out and out[0].line == 1
+
+    def test_report_accessors_ok(self):
+        src = ("cs = report.conflicts(s, max_per_file=None)\n"
+               "t = report.tables\n"
+               "vis = VisibilityIndex.from_columnar(ct)\n"
+               "n = count_conflicts_columnar(ct, s)\n")
+        assert not check_pipeline(src)
+
+    def test_bare_reference_without_call_ok(self):
+        assert not check_pipeline("f = detect_conflicts\n")
+
+    def test_allowlist_comment_exempts(self):
+        above = ("# lint: allow-pipeline-assembly (oracle by design)\n"
+                 "vis = VisibilityIndex(trace)\n")
+        same = ("vis = VisibilityIndex(trace)  "
+                "# lint: allow-pipeline-assembly (why)\n")
+        assert not check_pipeline(above)
+        assert not check_pipeline(same)
+
+    def test_other_allow_marker_does_not_exempt(self):
+        src = ("# lint: allow-per-op-loop (wrong marker)\n"
+               "vis = VisibilityIndex(trace)\n")
+        assert check_pipeline(src)
+
+
 class TestWholeRepo:
     def test_repository_is_clean(self):
         violations = lint_repo.lint_repo()
@@ -247,6 +291,19 @@ class TestWholeRepo:
         rules = sorted({v.rule for v in violations})
         assert rules == ["future-annotations", "no-bare-except",
                          "no-per-op-loops", "no-storage-from-apps"]
+
+    def test_pipeline_rule_skips_core_only(self, tmp_path):
+        for d in ("tools", "tests", "benchmarks"):
+            (tmp_path / d).mkdir()
+        body = ("from __future__ import annotations\n"
+                "def f(accesses):\n"
+                "    return group_by_path(accesses)\n")
+        for sub in ("core", "lint"):
+            (tmp_path / "src" / "repro" / sub).mkdir(parents=True)
+            (tmp_path / "src" / "repro" / sub / "stage.py").write_text(body)
+        violations = lint_repo.lint_repo(tmp_path)
+        assert [(v.rule, v.path.parent.name) for v in violations] == [
+            ("no-pipeline-assembly", "lint")]
 
     def test_cli_exit_codes(self, capsys):
         assert lint_repo.main([]) == 0

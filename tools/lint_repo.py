@@ -40,6 +40,13 @@ Rules enforced:
   (e.g. the replay fallback) carries a
   ``# lint: allow-per-op-loop (reason)`` annotation on or above the
   loop line.
+* **no-pipeline-assembly** — outside ``src/repro/core`` no module
+  calls ``detect_conflicts``, ``count_conflicts``, ``group_by_path``
+  or ``VisibilityIndex(``: the §5.1 → §5.2 pipeline is assembled once
+  per trace by ``repro.core.report.RunReport``, and every consumer
+  reads it from there.  A deliberate exception carries a
+  ``# lint: allow-pipeline-assembly (reason)`` annotation on or above
+  the call line.
 
 Exit status: 0 clean, 1 violations found, 2 bad invocation.
 """
@@ -243,6 +250,12 @@ PER_OP_ALLOW = "lint: allow-per-op-loop"
 PER_OP_DIRS = ("core", "tracer")
 
 
+def _annotated(lines: list[str], lineno: int, marker: str) -> bool:
+    """Does ``marker`` appear on line ``lineno`` or the line above?"""
+    return any(marker in lines[ln - 1] for ln in (lineno - 1, lineno)
+               if 1 <= ln <= len(lines))
+
+
 def _column_iter_attr(node: ast.expr) -> str | None:
     """The column attribute ``node`` iterates, if any.
 
@@ -265,12 +278,6 @@ def _column_iter_attr(node: ast.expr) -> str | None:
 def check_no_per_op_loops(tree: ast.Module, path: Path,
                           source: str) -> list[Violation]:
     lines = source.splitlines()
-
-    def allowed(lineno: int) -> bool:
-        return any(PER_OP_ALLOW in lines[ln - 1]
-                   for ln in (lineno - 1, lineno)
-                   if 1 <= ln <= len(lines))
-
     violations = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -282,13 +289,45 @@ def check_no_per_op_loops(tree: ast.Module, path: Path,
             continue
         for it in iters:
             attr = _column_iter_attr(it)
-            if attr is not None and not allowed(node.lineno):
+            if attr is not None and not _annotated(lines, node.lineno,
+                                                   PER_OP_ALLOW):
                 violations.append(Violation(
                     "no-per-op-loops", path, node.lineno,
                     f"per-op Python loop over column attribute "
                     f"'.{attr}'; vectorize with numpy, or annotate "
                     f"'# {PER_OP_ALLOW} (reason)' if the object path "
                     f"is deliberate"))
+    return violations
+
+
+#: pipeline stages only ``repro.core`` (i.e. ``RunReport``) may call
+PIPELINE_CALLS = frozenset({
+    "detect_conflicts", "count_conflicts", "group_by_path",
+    "VisibilityIndex",
+})
+#: annotation that exempts one call (reason required by convention)
+PIPELINE_ALLOW = "lint: allow-pipeline-assembly"
+
+
+def check_no_pipeline_assembly(tree: ast.Module, path: Path,
+                               source: str) -> list[Violation]:
+    lines = source.splitlines()
+    violations = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute)
+                else None)
+        if name in PIPELINE_CALLS and not _annotated(
+                lines, node.lineno, PIPELINE_ALLOW):
+            violations.append(Violation(
+                "no-pipeline-assembly", path, node.lineno,
+                f"call to {name}() outside repro.core; read the "
+                f"pipeline from a RunReport (report.tables, "
+                f"report.visibility, report.conflicts), or annotate "
+                f"'# {PIPELINE_ALLOW} (reason)'"))
     return violations
 
 
@@ -300,16 +339,19 @@ def lint_repo(repo: Path = REPO) -> list[Violation]:
             violations.extend(check_no_bare_except(tree, path))
     for path in python_files(repo / "src" / "repro" / "apps"):
         violations.extend(check_no_storage_from_apps(parse(path), path))
-    for path in python_files(repo / "src" / "repro"):
-        tree = parse(path)
+    package = repo / "src" / "repro"
+    for path in python_files(package):
+        source = path.read_text()
+        tree = ast.parse(source, filename=str(path))
         violations.extend(check_future_annotations(tree, path))
         violations.extend(check_no_mutable_default_args(tree, path))
         violations.extend(check_export_drift(tree, path))
-    for directory in PER_OP_DIRS:
-        for path in python_files(repo / "src" / "repro" / directory):
-            source = path.read_text()
-            violations.extend(check_no_per_op_loops(
-                ast.parse(source, filename=str(path)), path, source))
+        top = path.relative_to(package).parts[0]
+        if top in PER_OP_DIRS:
+            violations.extend(check_no_per_op_loops(tree, path, source))
+        if top != "core":
+            violations.extend(
+                check_no_pipeline_assembly(tree, path, source))
     return sorted(violations,
                   key=lambda v: (str(v.path), v.line, v.rule))
 
