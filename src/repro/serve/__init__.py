@@ -2,9 +2,10 @@
 
 A zero-dependency (stdlib-only) asyncio TCP service exposing the
 study's pure, content-addressed analyses — study cells, lint, repair
-advice, chaos audits — as request/response queries with explicit
-backpressure, per-request deadlines, in-flight coalescing, and
-read-through reuse of ``.repro-cache/``.
+advice, chaos audits, static conflict prediction — as
+request/response queries with explicit backpressure, per-request
+deadlines, in-flight coalescing, and read-through reuse of
+``.repro-cache/``.
 
 Layers:
 
@@ -15,15 +16,12 @@ Layers:
 * :mod:`repro.serve.server`   — the asyncio front end + process-pool
   back end;
 * :mod:`repro.serve.client`   — a retrying client reusing the PFS
-  retry discipline;
-* :mod:`repro.serve.loadgen`  — a seeded, deterministic closed-loop
-  load generator.
+  retry discipline.
 
 See ``docs/serving.md`` for the architecture and operational story.
 """
 
 from repro.serve.client import ServeClient, ServeConnectionError, request_sync
-from repro.serve.loadgen import LoadSpec, run_load, run_load_sync
 from repro.serve.server import (
     AnalysisServer,
     ServeConfig,
@@ -33,13 +31,10 @@ from repro.serve.server import (
 
 __all__ = [
     "AnalysisServer",
-    "LoadSpec",
     "ServeClient",
     "ServeConfig",
     "ServeConnectionError",
     "ServerHandle",
     "request_sync",
-    "run_load",
-    "run_load_sync",
     "start_background",
 ]

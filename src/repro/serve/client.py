@@ -51,8 +51,7 @@ class ServeClient:
     """One connection-reusing client endpoint.
 
     Not thread-safe and not for concurrent use of a single instance:
-    one client = one closed-loop requester (the load generator gives
-    each simulated user its own client).  ``seed`` feeds the jitter
+    one client = one closed-loop requester.  ``seed`` feeds the jitter
     stream, keeping backoff schedules reproducible run to run.
     """
 

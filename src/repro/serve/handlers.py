@@ -26,7 +26,6 @@ server state, never queued, cached, or pooled.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -48,8 +47,6 @@ from repro.study.parallel import (
 #: ceiling on ranks per service request — the analyses are O(nranks)
 #: traces; a query service refuses campaign-sized asks outright
 MAX_NRANKS = 64
-#: ceiling on the debug sleep endpoint (tests/benches only)
-MAX_SLEEP_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,6 @@ class Endpoint:
     prepare: Callable[[dict], Prepared] | None = None
     #: answered by the server on the event loop (no queue/cache/pool)
     inline: bool = False
-    #: only served when the server runs with ``debug=True``
-    debug: bool = False
     #: parameter names accepted by ``prepare`` (for error messages)
     param_names: tuple[str, ...] = field(default=())
 
@@ -315,33 +310,6 @@ def prepare_staticcheck(params: dict) -> Prepared:
                           staticcheck_cell(variant, nranks, seed))
 
 
-_SLEEP_PARAMS = ("seconds", "token")
-
-
-def sleep_task(task: tuple) -> dict:
-    """(seconds, token) -> sleep then echo; debug-only latency probe."""
-    seconds, token = task
-    time.sleep(seconds)
-    return {"slept_s": seconds, "token": token}
-
-
-def prepare_sleep(params: dict) -> Prepared:
-    _check_unknown(params, _SLEEP_PARAMS)
-    seconds = params.get("seconds", 0.0)
-    if not isinstance(seconds, (int, float)) \
-            or isinstance(seconds, bool) \
-            or not 0.0 <= seconds <= MAX_SLEEP_S:
-        raise BadRequest(
-            f"'seconds' must be a number in [0, {MAX_SLEEP_S:g}]")
-    token = params.get("token", 0)
-    if not isinstance(token, (str, int)) or isinstance(token, bool):
-        raise BadRequest("'token' must be a string or integer")
-    return Prepared(
-        kind="serve-sleep",
-        key_fields={"seconds": seconds, "token": token},
-        worker=sleep_task, task=(float(seconds), token))
-
-
 # -- registry ------------------------------------------------------------------
 
 ENDPOINTS: dict[str, Endpoint] = {
@@ -373,18 +341,15 @@ ENDPOINTS: dict[str, Endpoint] = {
                  inline=True),
         Endpoint("metrics", "live server.* metrics snapshot",
                  inline=True),
-        Endpoint("sleep", "debug latency probe (requires --debug)",
-                 prepare=prepare_sleep, debug=True,
-                 param_names=_SLEEP_PARAMS),
     )
 }
 
 
-def endpoint_catalog(*, debug: bool = False) -> list[dict]:
+def endpoint_catalog() -> list[dict]:
     """JSON-able endpoint listing (what ``healthz`` advertises)."""
     return [{"name": ep.name, "summary": ep.summary,
              "inline": ep.inline, "params": list(ep.param_names)}
-            for ep in ENDPOINTS.values() if debug or not ep.debug]
+            for ep in ENDPOINTS.values()]
 
 
 def request_key(endpoint: str, params: dict) -> str:
@@ -413,9 +378,7 @@ __all__ = [
     "prepare_cell",
     "prepare_chaos",
     "prepare_lint",
-    "prepare_sleep",
     "prepare_staticcheck",
     "request_key",
     "resolve_one_variant",
-    "sleep_task",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any
@@ -195,7 +196,8 @@ def parse_request(doc: dict) -> Request:
     deadline = doc.get("deadline_s")
     if deadline is not None:
         if not isinstance(deadline, (int, float)) \
-                or isinstance(deadline, bool) or deadline <= 0:
+                or isinstance(deadline, bool) \
+                or not math.isfinite(deadline) or deadline <= 0:
             raise BadRequest("'deadline_s' must be a positive number")
         deadline = float(deadline)
     return Request(endpoint=endpoint, params=params, id=req_id,

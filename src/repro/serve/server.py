@@ -64,8 +64,6 @@ class ServeConfig:
     #: how long shutdown waits for admitted requests to finish
     drain_s: float = 10.0
     max_frame: int = protocol.MAX_FRAME
-    #: serve debug endpoints (``sleep``); tests and benches only
-    debug: bool = False
 
 
 class AnalysisServer:
@@ -222,11 +220,8 @@ class AnalysisServer:
             return self._error(doc.get("id"), protocol.ERR_BAD_REQUEST,
                                str(exc))
         endpoint = ENDPOINTS.get(request.endpoint)
-        if endpoint is None \
-                or (endpoint.debug and not self.config.debug):
-            known = ", ".join(
-                ep["name"]
-                for ep in endpoint_catalog(debug=self.config.debug))
+        if endpoint is None:
+            known = ", ".join(ENDPOINTS)
             return self._error(request.id, protocol.ERR_BAD_REQUEST,
                                f"unknown endpoint "
                                f"{request.endpoint!r}; known: {known}")
@@ -295,8 +290,7 @@ class AnalysisServer:
                     "in_flight": self._in_flight,
                     "queue_limit": self.config.queue_limit,
                     "workers": self.config.workers,
-                    "endpoints": endpoint_catalog(
-                        debug=self.config.debug),
+                    "endpoints": endpoint_catalog(),
                     "protocol": protocol.PROTOCOL_VERSION}
         if name == "fingerprint":
             return {"fingerprint": code_fingerprint(),
@@ -367,9 +361,9 @@ class AnalysisServer:
 class ServerHandle:
     """A server running on a background thread's event loop.
 
-    The synchronous face the CLI tests, benches, and the load
-    generator share: ``start()`` binds and returns once the port is
-    known; ``stop()`` drains and joins the thread.
+    The synchronous face for in-process callers such as tests:
+    ``start()`` binds and returns once the port is known; ``stop()``
+    drains and joins the thread.
     """
 
     server: AnalysisServer

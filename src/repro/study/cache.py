@@ -313,13 +313,10 @@ def prune(root: str | Path, *, max_age_s: float | None = None,
     until the store fits (LRU by mtime: ``ResultCache.put`` refreshes
     mtime on overwrite, and hot entries get re-written by recompute
     after any fingerprint change).  Stray tempfiles are always
-    removed.  ``dry_run`` reports without deleting.
-
-    Concurrent pruners are expected, not an error: a file that
-    vanished between the scan and the unlink was simply removed by a
-    racing sweep, and is reported under ``already_gone`` rather than
-    counted as this sweep's work (``removed``/``removed_bytes`` cover
-    only entries *this* call deleted).
+    removed.  ``dry_run`` reports without deleting.  A file that
+    cannot be unlinked (say, one that vanished since the scan) is
+    skipped, not counted: ``removed``/``removed_bytes`` cover only
+    entries *this* call deleted.
     """
     if max_age_s is None and max_total_bytes is None:
         raise ValueError(
@@ -341,7 +338,7 @@ def prune(root: str | Path, *, max_age_s: float | None = None,
             kept_bytes -= entry.size
             doomed.append(entry)
     strays = scan_strays(root)
-    removed = removed_bytes = already_gone = 0
+    removed = removed_bytes = 0
     if dry_run:
         removed = len(doomed)
         removed_bytes = sum(e.size for e in doomed)
@@ -349,8 +346,6 @@ def prune(root: str | Path, *, max_age_s: float | None = None,
         for entry in doomed:
             try:
                 entry.path.unlink()
-            except FileNotFoundError:
-                already_gone += 1  # a racing pruner beat us to it
             except OSError:
                 pass
             else:
@@ -377,7 +372,6 @@ def prune(root: str | Path, *, max_age_s: float | None = None,
         "scanned": len(entries),
         "removed": removed,
         "removed_bytes": removed_bytes,
-        "already_gone": already_gone,
         "removed_strays": len(strays),
         "kept": len(kept),
         "kept_bytes": sum(e.size for e in kept),

@@ -18,7 +18,6 @@ Usage::
     python -m repro.study serve [--port 0] [--queue-limit N]
                                 [--workers N] [--ready-file FILE]
     python -m repro.study request <endpoint> --port P [--param k=v]...
-    python -m repro.study loadtest --port P [--clients N] [--seed S]
     python -m repro.study cache <stats|prune> [--max-age-days D]
                                 [--max-bytes N]
 
@@ -37,9 +36,8 @@ static conflict predictions against the dynamic detector;
 ``fingerprint`` prints the
 code fingerprint cache keys embed (CI keys its cache restore on it).
 ``serve`` runs the asyncio analysis service (:mod:`repro.serve`),
-``request`` issues one query against it, ``loadtest`` drives the
-seeded closed-loop load generator, and ``cache`` inspects and prunes
-the content-addressed result store — see ``docs/serving.md``.
+``request`` issues one query against it, and ``cache`` inspects and
+prunes the content-addressed result store — see ``docs/serving.md``.
 
 Every matrix subcommand accepts ``--metrics FILE``: the run executes
 under a :mod:`repro.obs` registry (bypassing the result cache so the
@@ -68,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -867,9 +866,11 @@ def _serve(inv: _Invocation) -> Outcome:
     args = inv.args
     if args.queue_limit < 1 or args.workers < 1:
         raise _UsageError("--queue-limit and --workers must be >= 1")
-    if args.default_deadline <= 0 or args.drain < 0:
-        raise _UsageError("--default-deadline must be > 0 and "
-                          "--drain >= 0")
+    if not (math.isfinite(args.default_deadline)
+            and math.isfinite(args.drain)) \
+            or args.default_deadline <= 0 or args.drain < 0:
+        raise _UsageError("--default-deadline must be finite and > 0 "
+                          "and --drain finite and >= 0")
 
     async def run() -> None:
         server = AnalysisServer(
@@ -877,7 +878,7 @@ def _serve(inv: _Invocation) -> Outcome:
                         queue_limit=args.queue_limit,
                         workers=args.workers,
                         default_deadline_s=args.default_deadline,
-                        drain_s=args.drain, debug=args.debug),
+                        drain_s=args.drain),
             cache=inv.cache)
         await server.start()
         ready = json.dumps({"event": "ready", "host": args.host,
@@ -949,6 +950,9 @@ def _request(inv: _Invocation) -> Outcome:
     if not args.endpoint:
         raise _UsageError("an endpoint name is required")
     _require_port(args)
+    if args.deadline is not None \
+            and not (math.isfinite(args.deadline) and args.deadline > 0):
+        raise _UsageError("--deadline must be finite and > 0")
     params = _request_params(args)
     try:
         response = request_sync(args.host, args.port, args.endpoint,
@@ -964,36 +968,6 @@ def _request(inv: _Invocation) -> Outcome:
     print(f"{code}: {response['error']['message']}", file=sys.stderr)
     return Outcome(text, EXIT_USAGE if code == ERR_BAD_REQUEST
                    else EXIT_FINDINGS)
-
-
-def _loadtest(inv: _Invocation) -> Outcome:
-    """The seeded load generator: exit 1 when any request failed (or
-    the server is unreachable).  ``--out`` always saves the JSON
-    report."""
-    from repro.serve.client import ServeConnectionError
-    from repro.serve.loadgen import LoadSpec, report_text, run_load_sync
-
-    args = inv.args
-    _require_port(args)
-    spec = LoadSpec(clients=args.clients,
-                    requests_per_client=args.requests,
-                    seed=args.seed, zipf_s=args.zipf,
-                    nranks=args.nranks, deadline_s=args.deadline)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    try:
-        report = run_load_sync(args.host, args.port, spec)
-    except ServeConnectionError as exc:
-        print(str(exc), file=sys.stderr)
-        return Outcome(None, EXIT_FINDINGS)
-
-    as_json = json.dumps(report, indent=2, sort_keys=True)
-    return Outcome(as_json if args.format == "json"
-                   else report_text(report),
-                   EXIT_OK if report["ok"] else EXIT_FINDINGS,
-                   saved=as_json)
 
 
 def _cache(inv: _Invocation) -> Outcome:
@@ -1038,9 +1012,6 @@ def _cache(inv: _Invocation) -> Outcome:
                 f"{doc['removed_strays']} stray tempfiles; "
                 f"{doc['kept']} entries ({doc['kept_bytes']} bytes) "
                 f"kept")
-        if doc.get("already_gone"):
-            text += (f"; {doc['already_gone']} already removed by a "
-                     f"concurrent pruner")
     return Outcome(json.dumps(doc, indent=2, sort_keys=True)
                    if args.format == "json" else text)
 
@@ -1174,8 +1145,6 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
          _opt("--drain", type=float, default=10.0, metavar="S",
               help="shutdown grace for in-flight requests (default 10)"),
          *_CACHE,
-         _opt("--debug", action="store_true",
-              help="also serve debug endpoints (sleep)"),
          _opt("--ready-file", type=Path, default=None, metavar="FILE",
               help="write the ready JSON document here too"))),
     Command(
@@ -1198,20 +1167,6 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
          _opt("--seed", type=int, default=0,
               help="retry-jitter seed (default 0)"),
          *_OUT)),
-    Command(
-        "loadtest", "Drive a seeded zipf-skewed closed-loop load against "
-                    "a running analysis server.",
-        _loadtest,
-        (*_HOST, *_PORT,
-         _opt("--clients", type=int, default=4, metavar="N"),
-         _opt("--requests", type=int, default=25, metavar="N",
-              help="requests per client (default 25)"),
-         _opt("--zipf", type=float, default=1.2, metavar="S",
-              help="popularity skew exponent (default 1.2)"),
-         *_run_opts(nranks=2),
-         _opt("--deadline", type=float, default=60.0, metavar="S",
-              help="per-request deadline budget (default 60)"),
-         *_FORMAT, *_OUT)),
     Command(
         "cache", "Inspect or prune the content-addressed result cache "
                  "(.repro-cache/).",

@@ -1,7 +1,9 @@
-"""Shared fixtures: quick simulation harnesses and a cached study run."""
+"""Shared fixtures: quick simulation harnesses, a cached study run, and
+a slow endpoint for the analysis service."""
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable
 
 import pytest
@@ -11,6 +13,7 @@ from repro.core.report import analyze
 from repro.mpi.comm import Communicator, MPIWorld
 from repro.posix.api import PosixAPI
 from repro.posix.vfs import VirtualFileSystem
+from repro.serve import handlers
 from repro.sim.engine import RankContext, SimConfig, SimEngine
 from repro.study.runner import StudyResults, run_study
 from repro.tracer.recorder import Recorder
@@ -88,3 +91,36 @@ def flash_reports():
         trace = variant.run(nranks=8)
         out[label] = (variant, trace, analyze(trace))
     return out
+
+
+def slow_task(task: tuple) -> dict:
+    """(seconds, token) -> sleep, then echo the token.
+
+    Module-level so the server's forked pool workers can unpickle it.
+    """
+    seconds, token = task
+    time.sleep(seconds)
+    return {"slept_s": seconds, "token": token}
+
+
+def prepare_slow(params: dict) -> handlers.Prepared:
+    seconds = float(params.get("seconds", 0.0))
+    token = params.get("token", 0)
+    return handlers.Prepared(
+        kind="test-slow", key_fields={"seconds": seconds, "token": token},
+        worker=slow_task, task=(seconds, token))
+
+
+@pytest.fixture
+def slow_endpoint(monkeypatch) -> str:
+    """Register a ``slow`` compute endpoint for the duration of a test.
+
+    A latency probe that makes deadlines, coalescing and backpressure
+    cheap and deterministic to drive without running analyses.
+    """
+    monkeypatch.setitem(
+        handlers.ENDPOINTS, "slow",
+        handlers.Endpoint("slow", "sleep 'seconds', echo 'token'",
+                          prepare=prepare_slow,
+                          param_names=("seconds", "token")))
+    return "slow"

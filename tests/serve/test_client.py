@@ -1,7 +1,6 @@
-"""Client retry discipline and load-generator determinism."""
+"""Client retry discipline against a scripted fake server."""
 
 import asyncio
-import json
 
 import pytest
 
@@ -12,17 +11,6 @@ from repro.serve.client import (
     ServeClient,
     ServeConnectionError,
 )
-from repro.serve.loadgen import (
-    LoadSpec,
-    build_schedule,
-    default_catalog,
-    report_text,
-    run_load_sync,
-    schedule_digest,
-    zipf_weights,
-)
-from repro.serve.server import ServeConfig, start_background
-from repro.study.cache import ResultCache
 
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.01, backoff=2.0,
                          jitter=0.0)
@@ -150,104 +138,3 @@ class TestClientRetry:
         assert DEFAULT_RETRY.delay(0, 0.0) == pytest.approx(0.05)
         assert DEFAULT_RETRY.delay(2, 0.0) == pytest.approx(0.20)
         assert DEFAULT_RETRY.delay(0, 1.0) > DEFAULT_RETRY.delay(0, 0.0)
-
-
-class TestSchedule:
-    def test_zipf_weights_decay(self):
-        weights = zipf_weights(10, 1.2)
-        assert weights == sorted(weights, reverse=True)
-        assert weights[0] == 1.0
-
-    def test_zipf_zero_skew_is_uniform(self):
-        assert set(zipf_weights(5, 0.0)) == {1.0}
-
-    def test_schedule_is_pure_function_of_seed(self):
-        catalog = default_catalog(nranks=2, seed=7)
-        spec = LoadSpec(clients=3, requests_per_client=20, seed=11)
-        a = build_schedule(catalog, spec)
-        b = build_schedule(catalog, spec)
-        assert a == b
-        assert schedule_digest(catalog, a) \
-            == schedule_digest(catalog, b)
-
-    def test_seed_changes_schedule(self):
-        catalog = default_catalog(nranks=2, seed=7)
-        a = build_schedule(catalog, LoadSpec(seed=1))
-        b = build_schedule(catalog, LoadSpec(seed=2))
-        assert a != b
-
-    def test_adding_a_client_never_reshuffles_others(self):
-        catalog = default_catalog(nranks=2, seed=7)
-        small = build_schedule(
-            catalog, LoadSpec(clients=2, requests_per_client=15,
-                              seed=9))
-        big = build_schedule(
-            catalog, LoadSpec(clients=5, requests_per_client=15,
-                              seed=9))
-        assert big[:2] == small
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            LoadSpec(clients=0).validate()
-        with pytest.raises(ValueError):
-            LoadSpec(requests_per_client=0).validate()
-        with pytest.raises(ValueError):
-            LoadSpec(zipf_s=-1).validate()
-
-
-def deterministic_part(report: dict) -> str:
-    """Everything but the measured ``timing`` subdocument."""
-    return json.dumps(
-        {k: v for k, v in report.items() if k != "timing"},
-        sort_keys=True)
-
-
-class TestLoadRun:
-    @pytest.fixture(scope="class")
-    def served(self, tmp_path_factory):
-        cache = ResultCache(
-            root=tmp_path_factory.mktemp("loadgen-cache"))
-        handle = start_background(
-            ServeConfig(workers=4, queue_limit=32, drain_s=5.0),
-            cache=cache)
-        try:
-            yield handle
-        finally:
-            handle.stop()
-
-    def test_same_seed_same_report_modulo_timing(self, served):
-        spec = LoadSpec(clients=3, requests_per_client=6, seed=7,
-                        nranks=1)
-        first = run_load_sync(served.host, served.port, spec)
-        second = run_load_sync(served.host, served.port, spec)
-        assert first["ok"] is True
-        assert deterministic_part(first) == deterministic_part(second)
-        # timing exists but is quarantined
-        assert "wall_s" in first["timing"]
-        assert "latency_s" in first["timing"]
-
-    def test_popularity_is_zipf_headed(self, served):
-        spec = LoadSpec(clients=3, requests_per_client=6, seed=7,
-                        nranks=1)
-        report = run_load_sync(served.host, served.port, spec)
-        popularity = report["schedule"]["popularity"]
-        counts = [count for _, count in popularity]
-        assert counts == sorted(counts, reverse=True)
-        assert report["schedule"]["requests"] == 18
-
-    def test_report_text_renders(self, served):
-        spec = LoadSpec(clients=2, requests_per_client=3, seed=13,
-                        nranks=1)
-        report = run_load_sync(served.host, served.port, spec)
-        text = report_text(report)
-        assert "loadgen: 2 clients x 3 requests" in text
-        assert "result: ok" in text
-
-    def test_warm_store_serves_hits(self, served):
-        # the class-scoped cache is warm from the runs above: a rerun
-        # is answered mostly by the read-through store
-        spec = LoadSpec(clients=3, requests_per_client=6, seed=7,
-                        nranks=1)
-        report = run_load_sync(served.host, served.port, spec)
-        server = report["timing"]["server"]
-        assert server["server.cache.hits"] > 0

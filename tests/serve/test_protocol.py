@@ -148,6 +148,8 @@ class TestParseRequest:
         {"endpoint": "cell", "deadline_s": -1},
         {"endpoint": "cell", "deadline_s": True},
         {"endpoint": "cell", "deadline_s": "soon"},
+        {"endpoint": "cell", "deadline_s": float("nan")},
+        {"endpoint": "cell", "deadline_s": float("inf")},
         {"endpoint": "cell", "v": 99},
     ])
     def test_rejects(self, doc):

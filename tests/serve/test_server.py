@@ -2,9 +2,10 @@
 backpressure, cache read-through, and graceful drain.
 
 Each test talks to a real :class:`AnalysisServer` on a background
-thread over a real TCP socket — the debug ``sleep`` endpoint makes
-timing-dependent behavior (deadlines, coalescing, overload) cheap and
-deterministic without running analyses.
+thread over a real TCP socket — the test-registered ``slow`` endpoint
+(``slow_endpoint`` in ``tests/conftest.py``) makes timing-dependent
+behavior (deadlines, coalescing, overload) cheap and deterministic
+without running analyses.
 """
 
 import asyncio
@@ -16,7 +17,7 @@ import pytest
 from repro.pfs.config import RetryPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient, request_sync
-from repro.serve.handlers import prepare_cell
+from repro.serve.handlers import ENDPOINTS, prepare_cell
 from repro.serve.server import ServeConfig, start_background
 from repro.study.cache import ResultCache
 
@@ -28,10 +29,10 @@ NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.01, backoff=1.0,
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """One debug server shared by the read-mostly tests."""
+    """One server shared by the read-mostly tests."""
     cache = ResultCache(root=tmp_path_factory.mktemp("serve-cache"))
     handle = start_background(
-        ServeConfig(workers=2, queue_limit=8, drain_s=2.0, debug=True),
+        ServeConfig(workers=2, queue_limit=8, drain_s=2.0),
         cache=cache)
     try:
         yield handle
@@ -53,8 +54,10 @@ class TestInlineEndpoints:
         assert result["status"] == "ok"
         assert result["queue_limit"] == 8
         names = {ep["name"] for ep in result["endpoints"]}
-        assert {"cell", "lint", "advise", "chaos", "healthz",
-                "fingerprint", "metrics", "sleep"} <= names
+        # every registered endpoint is advertised; none is hidden
+        assert names == set(ENDPOINTS)
+        assert {"cell", "lint", "advise", "chaos", "staticcheck",
+                "healthz", "fingerprint", "metrics"} <= names
 
     def test_fingerprint(self, served):
         from repro.study.cache import code_fingerprint
@@ -77,6 +80,12 @@ class TestTaxonomy:
         assert protocol.response_error_code(doc) \
             == protocol.ERR_BAD_REQUEST
         assert "known:" in doc["error"]["message"]
+
+    def test_retired_sleep_endpoint_is_unknown(self, served):
+        doc = ask(served, "sleep", {"seconds": 0, "token": "gone"})
+        assert protocol.response_error_code(doc) \
+            == protocol.ERR_BAD_REQUEST
+        assert "unknown endpoint 'sleep'" in doc["error"]["message"]
 
     def test_unknown_app(self, served):
         doc = ask(served, "cell", {"app": "NOPE"})
@@ -119,9 +128,10 @@ class TestTaxonomy:
         assert ask(served, "healthz")["ok"] is True
 
 
+@pytest.mark.usefixtures("slow_endpoint")
 class TestDeadline:
     def test_expiry_returns_deadline(self, served):
-        doc = ask(served, "sleep",
+        doc = ask(served, "slow",
                   {"seconds": 5, "token": "deadline-test"},
                   deadline_s=0.2)
         assert protocol.response_error_code(doc) \
@@ -130,7 +140,7 @@ class TestDeadline:
 
     def test_expired_work_still_lands_in_cache(self, served):
         params = {"seconds": 1.0, "token": "late-but-cached"}
-        doc = ask(served, "sleep", params, deadline_s=0.1)
+        doc = ask(served, "slow", params, deadline_s=0.1)
         assert protocol.response_error_code(doc) \
             == protocol.ERR_DEADLINE
         # the shielded computation kept running; once it finishes the
@@ -139,7 +149,7 @@ class TestDeadline:
         import time
         t0 = time.monotonic()
         while time.monotonic() - t0 < deadline:
-            doc = ask(served, "sleep", params, deadline_s=5)
+            doc = ask(served, "slow", params, deadline_s=5)
             if doc.get("ok"):
                 break
             time.sleep(0.1)
@@ -147,13 +157,13 @@ class TestDeadline:
         assert doc["result"]["token"] == "late-but-cached"
 
 
+@pytest.mark.usefixtures("slow_endpoint")
 class TestCoalescing:
     def test_duplicates_share_one_computation(self):
         # cache disabled: every hit below must come from coalescing,
         # not from the read-through store
         handle = start_background(
-            ServeConfig(workers=2, queue_limit=16, drain_s=5.0,
-                        debug=True),
+            ServeConfig(workers=2, queue_limit=16, drain_s=5.0),
             cache=ResultCache.disabled())
         try:
             n = 6
@@ -165,7 +175,7 @@ class TestCoalescing:
                            for i in range(n)]
                 try:
                     return await asyncio.gather(*(
-                        c.request("sleep", dict(params), deadline_s=30)
+                        c.request("slow", dict(params), deadline_s=30)
                         for c in clients))
                 finally:
                     for c in clients:
@@ -207,11 +217,11 @@ async def exchange_once(host, port, endpoint, params, *,
             pass
 
 
+@pytest.mark.usefixtures("slow_endpoint")
 class TestBackpressure:
     def test_full_queue_answers_overloaded(self):
         handle = start_background(
-            ServeConfig(workers=1, queue_limit=1, drain_s=5.0,
-                        debug=True),
+            ServeConfig(workers=1, queue_limit=1, drain_s=5.0),
             cache=ResultCache.disabled())
         try:
             async def go():
@@ -219,7 +229,7 @@ class TestBackpressure:
                                   seed=1)
                 try:
                     filler = asyncio.ensure_future(hog.request(
-                        "sleep", {"seconds": 3, "token": "hog"},
+                        "slow", {"seconds": 3, "token": "hog"},
                         deadline_s=30))
                     # wait until the hog occupies the only slot
                     for _ in range(200):
@@ -229,7 +239,7 @@ class TestBackpressure:
                             break
                         await asyncio.sleep(0.02)
                     response = await exchange_once(
-                        handle.host, handle.port, "sleep",
+                        handle.host, handle.port, "slow",
                         {"seconds": 0, "token": "bounced"},
                         deadline_s=5)
                     filler.cancel()
@@ -248,8 +258,7 @@ class TestBackpressure:
         # healthz is answered even with the only slot taken:
         # liveness is never queued behind work
         handle = start_background(
-            ServeConfig(workers=1, queue_limit=1, drain_s=5.0,
-                        debug=True),
+            ServeConfig(workers=1, queue_limit=1, drain_s=5.0),
             cache=ResultCache.disabled())
         try:
             async def go():
@@ -257,7 +266,7 @@ class TestBackpressure:
                                   seed=1)
                 try:
                     filler = asyncio.ensure_future(hog.request(
-                        "sleep", {"seconds": 2, "token": "hog"},
+                        "slow", {"seconds": 2, "token": "hog"},
                         deadline_s=30))
                     for _ in range(200):
                         health = await exchange_once(
@@ -279,14 +288,14 @@ class TestBackpressure:
             handle.stop()
 
 
+@pytest.mark.usefixtures("slow_endpoint")
 class TestDegradedHealth:
     def test_saturated_server_reports_degraded_not_dead(self):
         # healthz must stay informative between binary ok and refusal:
         # a full admission queue is 'degraded' — still answering, but
         # the next compute request would be refused
         handle = start_background(
-            ServeConfig(workers=1, queue_limit=1, drain_s=5.0,
-                        debug=True),
+            ServeConfig(workers=1, queue_limit=1, drain_s=5.0),
             cache=ResultCache.disabled())
         try:
             async def go():
@@ -294,7 +303,7 @@ class TestDegradedHealth:
                                   seed=1)
                 try:
                     filler = asyncio.ensure_future(hog.request(
-                        "sleep", {"seconds": 3, "token": "hog"},
+                        "slow", {"seconds": 3, "token": "hog"},
                         deadline_s=30))
                     health = None
                     for _ in range(200):
@@ -410,7 +419,7 @@ class TestCacheReadThrough:
 class TestShutdown:
     def test_stop_refuses_new_connections(self):
         handle = start_background(
-            ServeConfig(workers=1, drain_s=1.0, debug=True),
+            ServeConfig(workers=1, drain_s=1.0),
             cache=ResultCache.disabled())
         assert ask(handle, "healthz")["ok"] is True
         port = handle.port
@@ -446,7 +455,7 @@ class TestServeCliProcess:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.study", "serve",
              "--port", "0", "--workers", "1", "--drain", "2",
-             "--debug", "--cache-dir", str(tmp_path / "cache"),
+             "--cache-dir", str(tmp_path / "cache"),
              "--ready-file", str(ready_file)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True)

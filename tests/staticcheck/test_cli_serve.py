@@ -94,7 +94,7 @@ class TestServeEndpoint:
     def test_registered_and_advertised(self):
         ep = ENDPOINTS["staticcheck"]
         assert ep.prepare is prepare_staticcheck
-        assert not ep.inline and not ep.debug
+        assert not ep.inline
         names = {e["name"] for e in endpoint_catalog()}
         assert "staticcheck" in names
 

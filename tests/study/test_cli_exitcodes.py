@@ -216,13 +216,13 @@ class TestMetricsDeterminism:
 
 @pytest.fixture(scope="module")
 def live_server(tmp_path_factory):
-    """A debug analysis server for the serve-facing subcommands."""
+    """An analysis server for the serve-facing subcommands."""
     from repro.serve.server import ServeConfig, start_background
     from repro.study.cache import ResultCache
 
     cache = ResultCache(root=tmp_path_factory.mktemp("cli-serve"))
     handle = start_background(
-        ServeConfig(workers=2, queue_limit=8, drain_s=2.0, debug=True),
+        ServeConfig(workers=2, queue_limit=8, drain_s=2.0),
         cache=cache)
     try:
         yield handle
@@ -237,13 +237,12 @@ class TestServeSubcommandUsage:
         ["request", "healthz", "--port", "1", "--param", "noequals"],
         ["request", "healthz", "--port", "1", "--json", "not json"],
         ["request", "healthz", "--port", "1", "--json", "[1,2]"],
-        ["loadtest"],
-        ["loadtest", "--port", "1", "--clients", "0"],
-        ["loadtest", "--port", "1", "--requests", "0"],
-        ["loadtest", "--port", "1", "--zipf", "-1"],
+        ["request", "healthz", "--port", "1", "--deadline", "nan"],
+        ["request", "healthz", "--port", "1", "--deadline", "0"],
         ["serve", "--queue-limit", "0"],
         ["serve", "--workers", "0"],
         ["serve", "--default-deadline", "0"],
+        ["serve", "--default-deadline", "nan"],
         ["cache"],
         ["cache", "vacuum"],
         ["cache", "prune"],
@@ -273,8 +272,8 @@ class TestRequestSubcommand:
         # the full response document still lands on stdout
         assert json.loads(captured.out)["ok"] is False
 
-    def test_deadline_exits_1(self, capsys, live_server):
-        rc = cli_main(["request", "sleep",
+    def test_deadline_exits_1(self, capsys, live_server, slow_endpoint):
+        rc = cli_main(["request", slow_endpoint,
                        "--port", str(live_server.port),
                        "--param", "seconds=3",
                        "--param", "token=cli-deadline",
@@ -296,32 +295,13 @@ class TestRequestSubcommand:
         assert json.loads(out.read_text())["ok"] is True
 
     def test_params_merge_json_then_param(self, capsys, live_server):
-        rc = cli_main(["request", "sleep",
+        rc = cli_main(["request", "cell",
                        "--port", str(live_server.port),
-                       "--json", '{"seconds": 0, "token": "a"}',
-                       "--param", "token=b"])
+                       "--json", '{"app": "QMCPACK/HDF5", "nranks": 1}',
+                       "--param", "app=Nek5000"])
         assert rc == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["result"]["token"] == "b"
-
-
-class TestLoadtestSubcommand:
-    def test_small_run_exits_0(self, capsys, live_server, tmp_path):
-        out = tmp_path / "report.json"
-        rc = cli_main(["loadtest", "--port", str(live_server.port),
-                       "--clients", "2", "--requests", "3",
-                       "--nranks", "1", "--seed", "3",
-                       "--format", "json", "--out", str(out)])
-        assert rc == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["ok"] is True
-        assert doc["schedule"]["requests"] == 6
-        assert json.loads(out.read_text()) == doc
-
-    def test_unreachable_server_exits_1(self, capsys):
-        rc = cli_main(["loadtest", "--port", "1",
-                       "--clients", "1", "--requests", "1"])
-        assert rc == EXIT_FINDINGS
+        assert doc["result"]["label"] == "Nek5000-POSIX"
 
 
 class TestCacheSubcommand:
