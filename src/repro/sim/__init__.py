@@ -7,6 +7,12 @@ resumes the runnable rank with the smallest ``(virtual time, rank)`` key,
 so a given program + seed yields a bit-identical execution, timestamps
 included — which is what makes trace-analysis results reproducible and
 testable.
+
+Runnable ranks wait in a heap keyed ``(true time, rank)``, which stays
+valid because only the running rank moves its own clock.  Blocked ranks
+form a set whose wait predicates every dispatch polls in ascending rank
+order.  Each rank waits on its own pre-acquired lock, which the
+dispatcher releases to hand it control.
 """
 
 from repro.sim.clock import RankClock

@@ -7,17 +7,22 @@ rank with the smallest ``(true virtual time, rank)`` key.  Together with
 seeded RNGs this makes entire application runs — including every trace
 timestamp — bit-reproducible, regardless of OS scheduling.
 
-Blocking is predicate-based: a rank blocks with a callable that the engine
-re-evaluates whenever any other rank reaches a checkpoint.  MPI receive
-("a matching send was posted") and barrier ("generation advanced") are both
-one-line predicates on shared state guarded by the engine's big lock (only
-one rank runs at a time, so plain Python data structures are safe).
+Runnable ranks wait in a heap keyed ``(true time, rank)``; the key stays
+valid while a rank waits, because only the running rank moves its clock.
+Blocking is predicate-based: every dispatch polls the blocked set's
+predicates in ascending rank order, and a rank whose predicate comes true
+is ready before the next predicate runs.  MPI receive ("a matching send
+was posted") and barrier ("generation advanced") are both one-line
+predicates on shared state; only one rank runs at a time, so plain Python
+data structures are safe.  Each rank waits on a pre-acquired lock (its
+gate) that the dispatcher releases to hand it control.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -74,6 +79,16 @@ class SimConfig:
     thread_cap: int = 512
 
     def __post_init__(self) -> None:
+        for name in ("clock_skew_us", "cpu_op_cost", "io_meta_cost",
+                     "io_byte_cost", "net_latency", "net_byte_cost",
+                     "barrier_cost"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise SimulationError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if self.net_latency == 0:
+            raise SimulationError("net_latency must be > 0: any-source "
+                                  "matching relies on it")
         if self.nranks < 1:
             raise SimulationError(f"nranks must be >= 1, got {self.nranks}")
         if self.rank_base < 0:
@@ -95,14 +110,16 @@ class SimConfig:
 
 
 class _RankState:
-    __slots__ = ("clock", "status", "reason", "predicate", "event", "thread")
+    __slots__ = ("clock", "status", "reason", "predicate", "gate", "thread")
 
     def __init__(self, clock: RankClock):
         self.clock = clock
         self.status = _READY
         self.reason = ""
         self.predicate: Callable[[], bool] | None = None
-        self.event = threading.Event()
+        # held while the rank may not run; released to hand it control
+        self.gate = threading.Lock()
+        self.gate.acquire()
         self.thread: threading.Thread | None = None
 
 
@@ -131,7 +148,12 @@ class RankContext:
 
 
 class SimEngine:
-    """Owns the rank threads, their clocks, and the scheduling discipline."""
+    """Owns the rank threads, their clocks, and the scheduling discipline.
+
+    Invariant: a rank's clock moves only while that rank runs (ranks call
+    ``advance``/``sync_to`` on their own clock), so a ready-heap key still
+    holds when it is popped.
+    """
 
     def __init__(self, config: SimConfig):
         if config.nranks > config.thread_cap:
@@ -146,8 +168,13 @@ class SimEngine:
         skews = self._draw_skews(config)
         self._ranks = [_RankState(RankClock(base + r, skews[r]))
                        for r in range(config.nranks)]
+        #: ``(true_time, local index)`` of every READY rank
+        self._ready: list[tuple[float, int]] = []
+        #: local indices of every BLOCKED rank
+        self._blocked: set[int] = set()
         self._current: int | None = None
         self._failure: BaseException | None = None
+        self._woken = False
         self._main_event = threading.Event()
         self._started = False
         #: virtual-time callbacks, fired by the dispatcher in (t, FIFO)
@@ -248,7 +275,7 @@ class SimEngine:
 
         def runner(local: int) -> None:
             state = self._ranks[local]
-            state.event.wait()  # wait to be scheduled the first time
+            state.gate.acquire()  # wait to be scheduled the first time
             if self._failure is not None:
                 self._finish_rank(base + local)
                 return
@@ -266,6 +293,9 @@ class SimEngine:
                 daemon=True)
             state.thread.start()
 
+        self._ready = [(s.clock.true_time, r)
+                       for r, s in enumerate(self._ranks)]
+        heapq.heapify(self._ready)
         self._dispatch_next()
         self._main_event.wait()
         for state in self._ranks:
@@ -279,13 +309,12 @@ class SimEngine:
 
     def checkpoint(self, rank: int) -> None:
         """Offer the scheduler a chance to switch to an earlier-time rank."""
-        state = self._state(rank)
+        local = rank - self.config.rank_base
+        state = self._ranks[local]
         state.status = _READY
-        state.event.clear()
+        heapq.heappush(self._ready, (state.clock.true_time, local))
         self._obs_checkpoints.inc()
-        self._dispatch_next()
-        state.event.wait()
-        self._raise_if_failed()
+        self._hand_off(state)
 
     def wait_until(self, rank: int, predicate: Callable[[], bool],
                    reason: str) -> None:
@@ -294,16 +323,15 @@ class SimEngine:
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
         """
-        state = self._state(rank)
+        local = rank - self.config.rank_base
+        state = self._ranks[local]
         while not predicate():
             state.status = _BLOCKED
             state.reason = reason
             state.predicate = predicate
-            state.event.clear()
+            self._blocked.add(local)
             self._obs_blocks.inc()
-            self._dispatch_next()
-            state.event.wait()
-            self._raise_if_failed()
+            self._hand_off(state)
         state.predicate = None
         state.reason = ""
         state.status = _RUNNING
@@ -332,7 +360,11 @@ class SimEngine:
         self._state(rank).status = _DONE
         self._dispatch_next()
 
-    def _raise_if_failed(self) -> None:
+    def _hand_off(self, state: _RankState) -> None:
+        """Dispatch the next rank, then wait until this one is resumed."""
+        self._dispatch_next()
+        if self._failure is None:  # after a failure every gate stays open
+            state.gate.acquire()
         if self._failure is not None:
             # Re-raised inside a rank thread to unwind it; the original
             # exception object still reaches the driving thread.
@@ -342,56 +374,53 @@ class SimEngine:
         if self._failure is not None:
             self._wake_everyone()
             return
-        while True:
-            # Unblock any rank whose wait predicate has become true.
-            for state in self._ranks:
-                if state.status == _BLOCKED and state.predicate is not None:
-                    try:
-                        ready = state.predicate()
-                    except BaseException as exc:
-                        self._failure = exc
-                        self._wake_everyone()
-                        return
-                    if ready:
+        ready, blocked, scheduled = self._ready, self._blocked, self._scheduled
+        try:
+            while True:
+                # Unblock, in rank order, every rank whose wait predicate
+                # has become true.
+                for local in sorted(blocked):
+                    state = self._ranks[local]
+                    if state.predicate():
                         state.status = _READY
-            candidates = [(s.clock.true_time, s.clock.rank)
-                          for s in self._ranks if s.status == _READY]
-            # Fire scheduled virtual-time callbacks that come before the
-            # next runnable rank (or any time no rank is runnable — a
-            # callback may be exactly what unblocks one).
-            if self._scheduled and (
-                    not candidates
-                    or self._scheduled[0][0] <= min(candidates)[0]):
-                t, _, callback = heapq.heappop(self._scheduled)
+                        blocked.discard(local)
+                        heapq.heappush(ready,
+                                       (state.clock.true_time, local))
+                # Fire scheduled virtual-time callbacks that come before
+                # the next runnable rank (or any time no rank is runnable —
+                # a callback may be exactly what unblocks one).
+                if not scheduled or (ready and
+                                     scheduled[0][0] > ready[0][0]):
+                    break
+                t, _, callback = heapq.heappop(scheduled)
                 self._obs_fired.inc()
-                try:
-                    callback(t)
-                except BaseException as exc:
-                    self._failure = exc
-                    self._wake_everyone()
-                    return
-                continue  # state may have changed; re-evaluate
-            break
-        if candidates:
-            t, nxt = min(candidates)
-            self._obs_vtime.set_max(t)
-            self._current = nxt
-            state = self._state(nxt)
-            state.status = _RUNNING
-            state.event.set()
+                callback(t)  # state may have changed; re-evaluate
+        except BaseException as exc:
+            self._failure = exc
+            self._wake_everyone()
             return
-        blocked = {s.clock.rank: s.reason
-                   for s in self._ranks if s.status == _BLOCKED}
+        if ready:
+            t, nxt = heapq.heappop(ready)
+            self._obs_vtime.set_max(t)
+            self._current = self.config.rank_base + nxt
+            state = self._ranks[nxt]
+            state.status = _RUNNING
+            state.gate.release()
+            return
         if blocked:
             self._failure = DeadlockError(
                 f"deadlock: {len(blocked)} rank(s) blocked, none runnable",
-                blocked)
+                {s.clock.rank: s.reason
+                 for s in self._ranks if s.status == _BLOCKED})
             self._wake_everyone()
             return
         # Everyone done.
         self._main_event.set()
 
     def _wake_everyone(self) -> None:
-        for state in self._ranks:
-            state.event.set()
+        # the first call runs while every other thread waits at its gate
+        if not self._woken:
+            self._woken = True
+            for state in self._ranks:
+                state.gate.release()
         self._main_event.set()

@@ -1,10 +1,35 @@
 """Tests for the deterministic cooperative engine and virtual clocks."""
 
+import math
+import threading
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.clock import RankClock
-from repro.sim.engine import SimConfig, SimEngine
+from repro.sim.engine import RANK_READY, SimConfig, SimEngine
+
+
+def run_bounded(engine, program, timeout=30.0):
+    """``engine.run(program)`` on a helper thread, failing on a hang.
+
+    Returns the results, or the exception ``run`` raised.
+    """
+    outcome: list = []
+
+    def drive():
+        try:
+            outcome.append(engine.run(program))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    driver.join(timeout)
+    assert not driver.is_alive(), "SimEngine.run hung"
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("simrank-")], "rank threads left over"
+    return outcome[0]
 
 
 class TestRankClock:
@@ -43,6 +68,22 @@ class TestSimConfig:
     def test_zero_skew(self):
         skews = SimEngine._draw_skews(SimConfig(nranks=4))
         assert skews == [0.0] * 4
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("clock_skew_us", math.nan),
+        ("clock_skew_us", math.inf),
+        ("clock_skew_us", -5.0),
+        ("cpu_op_cost", -1e-7),
+        ("io_meta_cost", math.nan),
+        ("io_byte_cost", math.inf),
+        ("net_byte_cost", -1e-9),
+        ("barrier_cost", -math.inf),
+        ("net_latency", 0.0),
+        ("net_latency", -2e-6),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            SimConfig(nranks=4, **{field: value})
 
 
 class TestSimEngine:
@@ -198,3 +239,97 @@ class TestSimEngine:
         c = SimEngine(SimConfig(nranks=3, seed=12)).run(program)
         assert a == b
         assert a != c
+
+    def test_equal_times_resume_lower_rank_first(self):
+        """Ties on true time go to the lower rank, whatever the push order."""
+        order: list[int] = []
+        engine = SimEngine(SimConfig(nranks=4))
+
+        def program(ctx):
+            # stagger so ranks reach the common time in reverse order
+            ctx.engine.advance(ctx.rank, (10 - ctx.rank) * 1e-6)
+            ctx.engine.checkpoint(ctx.rank)
+            ctx.clock.sync_to(100e-6)
+            ctx.engine.checkpoint(ctx.rank)
+            order.append(ctx.rank)
+
+        engine.run(program)
+        assert order == [0, 1, 2, 3]
+
+    def test_predicate_sees_rank_unblocked_in_same_dispatch(self):
+        """Blocked predicates run in rank order, each seeing the last."""
+        engine = SimEngine(SimConfig(nranks=3))
+        flag: list[bool] = []
+        seen: list[str] = []
+
+        def rank1_was_ready():
+            # latches: rank 1 is READY only within the dispatch that
+            # unblocked it, before it is resumed and runs to completion
+            seen.append(engine.rank_status(1)[0])
+            return RANK_READY in seen
+
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.engine.advance(0, 1e-6)
+                ctx.engine.checkpoint(0)   # ranks 1 and 2 block meanwhile
+                flag.append(True)
+                ctx.engine.checkpoint(0)
+            elif ctx.rank == 1:
+                ctx.engine.wait_until(1, lambda: bool(flag), "flag")
+            else:
+                ctx.engine.wait_until(2, rank1_was_ready, "rank 1 ready")
+
+        engine.run(program)
+        assert RANK_READY in seen
+
+    def test_raising_predicate_ends_run(self):
+        engine = SimEngine(SimConfig(nranks=3))
+        calls = [0]
+
+        def predicate():
+            calls[0] += 1
+            if calls[0] > 1:
+                raise ValueError("predicate boom")
+            return False
+
+        def program(ctx):
+            if ctx.rank == 1:
+                ctx.engine.wait_until(1, predicate, "boom")
+            for _ in range(3):
+                ctx.engine.advance(ctx.rank, 1e-6)
+                ctx.engine.checkpoint(ctx.rank)
+
+        outcome = run_bounded(engine, program)
+        assert isinstance(outcome, ValueError)
+        assert str(outcome) == "predicate boom"
+
+    def test_rank_failure_beats_blocked_and_undispatched_ranks(self):
+        """Rank 0 is blocked and ranks 2-3 never ran when rank 1 raises."""
+        engine = SimEngine(SimConfig(nranks=4))
+
+        def program(ctx):
+            if ctx.rank == 0:
+                ctx.engine.wait_until(0, lambda: False, "never")
+            elif ctx.rank == 1:
+                raise RuntimeError("boom from rank 1")
+            ctx.engine.checkpoint(ctx.rank)
+
+        outcome = run_bounded(engine, program)
+        assert type(outcome) is RuntimeError
+        assert str(outcome) == "boom from rank 1"
+
+    def test_rank_swallowing_abort_still_ends_run(self):
+        engine = SimEngine(SimConfig(nranks=2))
+
+        def program(ctx):
+            if ctx.rank == 1:
+                raise RuntimeError("boom")
+            ctx.engine.advance(0, 1e-6)
+            for _ in range(3):
+                try:
+                    ctx.engine.checkpoint(0)
+                except SimulationError:
+                    pass
+
+        outcome = run_bounded(engine, program)
+        assert type(outcome) is RuntimeError
