@@ -9,10 +9,24 @@ from the paper's shape — evidence the mechanism is load-bearing:
 4. timestamp alignment matters once skew approaches operation gaps.
 """
 
+from collections import Counter
+
 import repro
 from benchmarks.conftest import save_artifact
-from repro.core.patterns import AccessPattern, classify_file
+from repro.core.highlevel import classify_sharing
+from repro.core.patterns import AccessPattern, classify_rank_file
 from repro.core.semantics import Semantics
+
+
+def _unfiltered_pattern(table):
+    """Majority label over per-rank write sequences, with no metadata
+    exception."""
+    weights = Counter()
+    for rank in dict.fromkeys(table.rank.tolist()):
+        seq = table.for_rank(rank)
+        label = classify_rank_file(seq, filter_metadata=False)
+        weights[label] += max(1, sum(r.is_write for r in seq) - 1)
+    return weights.most_common(1)[0][0]
 
 
 def test_bench_ablation_metadata_filter(benchmark, study8, artifacts):
@@ -21,11 +35,11 @@ def test_bench_ablation_metadata_filter(benchmark, study8, artifacts):
     run = study8.find("FLASH-HDF5 fbs")
     path = next(p for p in run.report.tables
                 if "/flash/ckpt/" in p)
-    records = run.report.tables[path].records
+    table = run.report.tables[path]
 
     def classify_both():
-        with_filter = classify_file(records)
-        without = classify_file(records, prefiltered=True)
+        with_filter = classify_sharing({path: table}, 8)[0].pattern
+        without = _unfiltered_pattern(table)
         return with_filter, without
 
     with_filter, without = benchmark(classify_both)

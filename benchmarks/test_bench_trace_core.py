@@ -3,12 +3,14 @@
 Builds a seeded synthetic trace of ``REPRO_BENCH_TRACE_OPS`` data ops
 (default 10^6) and times the full conflict-detection pipeline twice:
 
-* **columnar** — ``reconstruct_tables_columnar`` +
-  ``VisibilityIndex.from_columnar`` + the numpy pair classifiers, all
-  over :class:`~repro.tracer.columnar.ColumnarTrace` arrays;
-* **object** — the original per-record path: materialize
-  ``TraceRecord`` objects, replay ``reconstruct_offsets``, group into
-  tables, build the visibility index from the record list.
+* **columnar** — ``reconstruct_tables_columnar`` + the columnar
+  ``VisibilityIndex`` + the numpy pair classifiers, all over
+  :class:`~repro.tracer.columnar.ColumnarTrace` arrays;
+* **object** — the per-record offset path: replay
+  ``reconstruct_offsets`` over materialized ``TraceRecord`` objects and
+  group into tables.  Its visibility index is the same columnar one
+  (``VisibilityIndex`` has a single, columnar constructor), read from
+  the columns the materialized trace keeps.
 
 Both must produce *identical* conflict counts (the columnar path is an
 optimization, not an approximation), and the columnar/object time ratio

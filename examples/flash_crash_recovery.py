@@ -22,7 +22,7 @@ discipline buys.
 import sys
 
 from repro.apps.registry import find_variant
-from repro.core.offsets import reconstruct_offsets
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
 from repro.faults import CrashEvent, FaultPlan
 from repro.pfs.config import PFSConfig
@@ -35,7 +35,7 @@ STRIPE = 1 << 16  # stripe small enough that FLASH files span OSTs
 
 def count_ops(trace):
     """Client operations the replay will drive (the at_op time base)."""
-    extent_of = {a.rid: a for a in reconstruct_offsets(trace.records)}
+    extent_of = {a.rid: a for a in RunReport(trace).accesses}
     n = 0
     for rec in trace.records:
         if rec.layer != Layer.POSIX or rec.path is None:

@@ -40,7 +40,8 @@ import numpy as np
 from repro.core.overlaps import find_overlaps
 from repro.core.records import AccessRecord, AccessTable
 from repro.core.semantics import Semantics
-from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, Layer, OPEN_OPS
+from repro.tracer.columnar import ColumnarTrace
+from repro.tracer.events import CLOSE_OPS, COMMIT_OPS, OPEN_OPS
 from repro.tracer.trace import Trace
 
 
@@ -142,44 +143,22 @@ class VisibilityIndex:
     evaluate whole batches of candidate pairs at once.
     """
 
-    def __init__(self, trace: Trace):
+    def __init__(self, trace: Trace | ColumnarTrace):
+        """Build the timelines from the columns of a :class:`Trace` or a
+        bare :class:`ColumnarTrace`: each event family is one mask +
+        lexsort + group split over the POSIX rows."""
+        ct = trace.columnar if isinstance(trace, Trace) else trace
         self._opens: dict[tuple[int, str], list[float]] = {}
         self._closes: dict[tuple[int, str], list[float]] = {}
         self._commits: dict[tuple[int, str], list[float]] = {}
-        for rec in trace.records:  # lint: allow-per-op-loop (object path)
-            if rec.layer != Layer.POSIX or rec.path is None:
-                continue
-            key = (rec.rank, rec.path)
-            if rec.func in OPEN_OPS:
-                self._opens.setdefault(key, []).append(rec.tstart)
-            if rec.func in CLOSE_OPS:
-                self._closes.setdefault(key, []).append(rec.tstart)
-            if rec.func in COMMIT_OPS:  # closes included: close is a commit
-                self._commits.setdefault(key, []).append(rec.tstart)
-        for table in (self._opens, self._closes, self._commits):
-            for times in table.values():
-                times.sort()
         self._array_cache: dict[tuple[str, int, str], np.ndarray] = {}
-
-    @classmethod
-    def from_columnar(cls, ct) -> "VisibilityIndex":
-        """Build the timelines from a columnar trace, no record objects.
-
-        Each of the three event families is one mask + lexsort + group
-        split over the POSIX rows; the resulting per-(rank, path) lists
-        are identical to what ``__init__`` builds from the objects.
-        """
-        vis = cls.__new__(cls)
-        vis._opens = {}
-        vis._closes = {}
-        vis._commits = {}
-        vis._array_cache = {}
         c = ct.columns
         base = ct.posix_mask() & (c["path_id"] >= 0)
         fid = c["func_id"]
-        for table, ops in ((vis._opens, OPEN_OPS),
-                           (vis._closes, CLOSE_OPS),
-                           (vis._commits, COMMIT_OPS)):
+        # closes are commits too: COMMIT_OPS includes CLOSE_OPS
+        for table, ops in ((self._opens, OPEN_OPS),
+                           (self._closes, CLOSE_OPS),
+                           (self._commits, COMMIT_OPS)):
             rows = np.flatnonzero(base & ct.func_lookup(ops)[fid])
             if rows.size == 0:
                 continue
@@ -195,9 +174,8 @@ class VisibilityIndex:
             for gi in range(len(bounds) - 1):
                 s, e = bounds[gi], bounds[gi + 1]
                 group = times[s:e]
-                group.sort()  # trace order is time order: no-op, parity
+                group.sort()
                 table[(rank[s], ct.paths[pid[s]])] = group
-        return vis
 
     def times_array(self, which: str, rank: int, path: str) -> np.ndarray:
         """Sorted event times as a float64 array (cached)."""
@@ -460,7 +438,8 @@ def detect_conflicts_in_table(table: AccessTable, vis: VisibilityIndex,
                          _conflict_pairs(table, vis, semantics))
     if not len(fr):
         return []
-    records = table.records
+    rows = np.union1d(fr, sr)
+    records = dict(zip(rows.tolist(), table.records_at(rows)))
     return [Conflict(path=table.path,
                      kind=ConflictKind.WAW if w else ConflictKind.RAW,
                      scope=ConflictScope.SAME if s
@@ -509,8 +488,7 @@ def count_conflicts_columnar(ct, semantics: Semantics,
 
     if tables is None:
         tables = reconstruct_tables_columnar(ct)
-    return count_conflicts(VisibilityIndex.from_columnar(ct), tables,
-                           semantics)
+    return count_conflicts(VisibilityIndex(ct), tables, semantics)
 
 
 def detect_conflicts(vis: VisibilityIndex, tables: dict[str, AccessTable],

@@ -22,15 +22,13 @@ Two refinements match the paper's conventions:
 from __future__ import annotations
 
 import posixpath
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from repro.core.patterns import (
-    AccessPattern,
-    classify_file,
-    filter_metadata_by_file,
-)
-from repro.core.records import AccessRecord
+import numpy as np
+
+from repro.core.patterns import AccessPattern, classify_gap_sequence
+from repro.core.records import AccessTable
 
 
 @dataclass(frozen=True)
@@ -65,49 +63,72 @@ def _cardinality(count: int, nranks: int) -> str:
     return "M"
 
 
-def classify_sharing(records: list[AccessRecord],
+def classify_sharing(tables: dict[str, AccessTable],
                      nranks: int) -> list[SharingPattern]:
-    """Group data accesses by directory and characterize each group.
+    """Group per-file tables by directory and characterize each group.
 
     Groups are returned most-bytes-written first, so index 0 is the run's
     *primary* output pattern (the Table 3 row entry).
     """
-    by_group: dict[str, list[AccessRecord]] = defaultdict(list)
-    for r in records:
-        by_group[posixpath.dirname(r.path)].append(r)
+    by_group: dict[str, list[AccessTable]] = defaultdict(list)
+    for path, table in tables.items():
+        by_group[posixpath.dirname(path)].append(table)
     out: list[SharingPattern] = []
-    for group, recs in sorted(by_group.items()):
-        data_recs = filter_metadata_by_file(recs)
-        paths = {r.path for r in recs}
-        writers = frozenset(r.rank for r in data_recs if r.is_write)
-        readers = frozenset(r.rank for r in data_recs if not r.is_write)
-        written = sum(r.nbytes for r in recs if r.is_write)
-        read = sum(r.nbytes for r in recs if not r.is_write)
-        pattern = classify_file(data_recs, writes_only=bool(writers),
-                                prefiltered=True)
+    for group, members in sorted(by_group.items()):
+        kept = [_data_rows(t) for t in members]
+        writers: set[int] = set()
+        readers: set[int] = set()
+        rank_sets = set()
+        for t, keep in zip(members, kept):
+            writers.update(t.rank[keep & t.is_write].tolist())
+            readers.update(t.rank[keep & ~t.is_write].tolist())
+            rank_sets.add(frozenset(t.rank[keep].tolist()))
         out.append(SharingPattern(
-            group=group, nfiles=len(paths),
-            files_per_phase=_files_per_phase(data_recs, paths),
-            writer_ranks=writers, reader_ranks=readers,
-            bytes_written=written, bytes_read=read, pattern=pattern))
+            group=group, nfiles=len(members),
+            # a series of files sharing one rank set (checkpoint
+            # generations) accesses one file per phase
+            files_per_phase=1 if len(rank_sets) == 1 else len(members),
+            writer_ranks=frozenset(writers),
+            reader_ranks=frozenset(readers),
+            bytes_written=sum(t.bytes_written for t in members),
+            bytes_read=sum(t.bytes_read for t in members),
+            pattern=_group_pattern(members, kept, bool(writers))))
     out.sort(key=lambda g: (g.bytes_written, g.bytes_read), reverse=True)
     return out
 
 
-def _files_per_phase(data_recs: list[AccessRecord],
-                     paths: set[str]) -> int:
-    """Y: count one file per phase for same-writer-set file series."""
-    sets: dict[str, frozenset[int]] = defaultdict(frozenset)
-    for r in data_recs:
-        sets[r.path] = sets[r.path] | {r.rank}
-    distinct = set(sets.values())
-    if len(distinct) == 1 and len(sets) >= 1:
-        return 1  # a series of same-pattern files (e.g. checkpoints)
-    return len(paths)
+def _data_rows(table: AccessTable) -> np.ndarray:
+    """The paper's small-metadata exception, per file across all ranks:
+    drop accesses at least 8x smaller than the file's largest."""
+    sizes = table.stop - table.offset
+    return sizes * 8 >= sizes.max()
 
 
-def primary_pattern(records: list[AccessRecord],
+def _group_pattern(members: list[AccessTable], kept: list[np.ndarray],
+                   writes_only: bool) -> AccessPattern:
+    """Majority (transition-weighted) label over the group's per-(rank,
+    file) sequences, visited in ``(tstart, rid)`` order of their first
+    access so that ties resolve to the label seen first."""
+    seqs = []
+    for t, keep in zip(members, kept):
+        rows = np.flatnonzero(keep & t.is_write if writes_only else keep)
+        # rows are (tstart, rid)-ordered; a stable sort keeps that order
+        # inside each rank's sequence
+        rows = rows[np.argsort(t.rank[rows], kind="stable")]
+        if rows.size:
+            for seq in np.split(rows, np.flatnonzero(np.diff(
+                    t.rank[rows])) + 1):
+                seqs.append((float(t.tstart[seq[0]]), int(t.rid[seq[0]]),
+                             t, seq))
+    weights: Counter = Counter()
+    for _, _, t, seq in sorted(seqs, key=lambda s: s[:2]):
+        label = classify_gap_sequence(t.offset[seq], t.stop[seq])
+        weights[label] += max(1, seq.size - 1)
+    return weights.most_common(1)[0][0]
+
+
+def primary_pattern(tables: dict[str, AccessTable],
                     nranks: int) -> SharingPattern | None:
     """The dominant (most bytes written) output group, or None."""
-    groups = classify_sharing(records, nranks)
+    groups = classify_sharing(tables, nranks)
     return groups[0] if groups else None

@@ -39,6 +39,8 @@ from repro.tracer.events import (
     WRITE_OPS,
     TraceRecord,
 )
+from repro.tracer.columnar import I64_NONE, LAYER_TABLE, ColumnarTrace
+from repro.tracer.trace import Trace
 from repro.core.records import AccessRecord, AccessTable, group_by_path
 
 
@@ -206,8 +208,9 @@ def _handle_data(rec: TraceRecord, ofds: dict[tuple[int, int], _OfdState],
 # * trace features whose exact semantics need the sequential replay
 #   (dup aliasing, SEEK_END, truncate interacting with appends, strict
 #   errors on untracked descriptors, non-strict skipping) fall back to
-#   :func:`reconstruct_offsets` on the materialized objects — the two
-#   paths are byte-identical by construction, and parity tests pin it.
+#   :func:`reconstruct_offsets`, the one per-op replay, on the trace's
+#   records — the two paths are byte-identical by construction, and
+#   parity tests pin it.
 
 _OTHER, _OPEN, _CLOSE, _DUP, _SEEK, _TRUNC, _FTRUNC, _RD, _WR = range(9)
 
@@ -247,28 +250,30 @@ def _func_class_lut(funcs: list[str]) -> np.ndarray:
     return lut
 
 
-def reconstruct_tables_columnar(ct, *, strict: bool = True,
+def reconstruct_tables_columnar(source: Trace | ColumnarTrace, *,
+                                strict: bool = True,
                                 ) -> dict[str, AccessTable]:
     """Columnar offset reconstruction straight to per-file tables.
 
     Equivalent to ``group_by_path(reconstruct_offsets(records))`` but
     vectorized over a :class:`~repro.tracer.columnar.ColumnarTrace`,
     without materializing :class:`TraceRecord`/:class:`AccessRecord`
-    objects.  Falls back to the object replay (including its exact
-    error behaviour) for trace features the array passes do not model.
+    objects.  Trace features the array passes do not model fall back to
+    the object replay (exact errors included): of a :class:`Trace`'s
+    own records, or of a bare ``ColumnarTrace`` materialized once.
     """
+    is_trace = isinstance(source, Trace)
+    ct = source.columnar if is_trace else source
     if strict:
         try:
             return _reconstruct_vectorized(ct)
         except _ColumnarFallback:
             pass
-    records = reconstruct_offsets(ct.to_trace().records, strict=strict)
-    return group_by_path(records)
+    records = source.records if is_trace else ct.to_trace().records
+    return group_by_path(reconstruct_offsets(records, strict=strict))
 
 
-def _reconstruct_vectorized(ct) -> dict[str, AccessTable]:
-    from repro.tracer.columnar import I64_NONE, LAYER_TABLE
-
+def _reconstruct_vectorized(ct: ColumnarTrace) -> dict[str, AccessTable]:
     c = ct.columns
     mask = ct.posix_mask()
     npx = int(np.count_nonzero(mask))
@@ -408,19 +413,22 @@ def _reconstruct_vectorized(ct) -> dict[str, AccessTable]:
     out_func = take("func_id")[rows]
     out_issuer = take("issuer_id")[rows]
 
-    tables: dict[str, AccessTable] = {}
-    pids = sorted(np.unique(out_path).tolist(),
-                  key=lambda p: ct.paths[p])
-    for pid in pids:
-        sel = out_path == pid
-        tables[ct.paths[pid]] = AccessTable.from_columns(
-            ct.paths[pid], rid=out_rid[sel], rank=out_rank[sel],
-            offset=out_off[sel], stop=out_stop[sel],
-            is_write=out_write[sel], tstart=out_t0[sel],
-            tend=out_t1[sel], fd=out_fd[sel], func_id=out_func[sel],
-            issuer_id=out_issuer[sel], funcs=tuple(ct.funcs),
-            issuers=LAYER_TABLE)
-    return tables
+    if not rows.size:
+        return {}
+    # one stable argsort splits the rows per file; tables come out in
+    # path order, like ``group_by_path``
+    by_path = np.argsort(out_path, kind="stable")
+    spans = {ct.paths[int(out_path[sel[0]])]: sel for sel in np.split(
+        by_path, np.flatnonzero(np.diff(out_path[by_path])) + 1)}
+    funcs = tuple(ct.funcs)
+    return {path: AccessTable.from_columns(
+                path, rid=out_rid[sel], rank=out_rank[sel],
+                offset=out_off[sel], stop=out_stop[sel],
+                is_write=out_write[sel], tstart=out_t0[sel],
+                tend=out_t1[sel], fd=out_fd[sel], func_id=out_func[sel],
+                issuer_id=out_issuer[sel], funcs=funcs,
+                issuers=LAYER_TABLE)
+            for path, sel in sorted(spans.items())}
 
 
 def _append_landings(n: int, open_rows: np.ndarray, write_rows: np.ndarray,

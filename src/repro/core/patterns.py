@@ -137,19 +137,6 @@ def drop_library_metadata(records: list[AccessRecord]
     return [r for r, k in zip(records, keep) if k]
 
 
-def filter_metadata_by_file(records: list[AccessRecord]
-                            ) -> list[AccessRecord]:
-    """Per-file metadata exception, applied across all ranks at once."""
-    byfile: dict[str, list[AccessRecord]] = {}
-    for r in records:
-        byfile.setdefault(r.path, []).append(r)
-    out: list[AccessRecord] = []
-    for recs in byfile.values():
-        out.extend(drop_library_metadata(recs))
-    out.sort(key=lambda r: (r.tstart, r.rid))
-    return out
-
-
 def classify_gap_sequence(offsets: np.ndarray,
                           stops: np.ndarray) -> AccessPattern:
     """Label one ordered access sequence per the Table 3 taxonomy."""
@@ -218,24 +205,3 @@ def classify_rank_file(records: list[AccessRecord], *,
     offsets = np.fromiter((r.offset for r in seq), np.int64, len(seq))
     stops = np.fromiter((r.stop for r in seq), np.int64, len(seq))
     return classify_gap_sequence(offsets, stops)
-
-
-def classify_file(records: list[AccessRecord], *,
-                  writes_only: bool = True,
-                  prefiltered: bool = False) -> AccessPattern:
-    """Majority (transition-weighted) pattern over a file's writing ranks.
-
-    Pass ``prefiltered=True`` when library metadata was already stripped
-    (e.g. by :func:`filter_metadata_by_file`) to skip the per-sequence
-    filter.
-    """
-    weights: Counter = Counter()
-    for (rank, _), seq in _sequences_by_rank(
-            [r for r in records
-             if (r.is_write or not writes_only)]).items():
-        label = classify_rank_file(seq, writes_only=writes_only,
-                                   filter_metadata=not prefiltered)
-        weights[label] += max(1, len(seq) - 1)
-    if not weights:
-        return AccessPattern.CONSECUTIVE
-    return weights.most_common(1)[0][0]

@@ -132,19 +132,27 @@ class AccessTable:
             self._records = self._materialize()
         return self._records
 
-    def _materialize(self) -> list[AccessRecord]:
-        n = len(self.rid)
+    def records_at(self, rows: np.ndarray) -> list[AccessRecord]:
+        """The records at ``rows``; builds just these until ``records``
+        is read."""
+        if self._records is not None:
+            return [self._records[i] for i in rows.tolist()]
+        return self._materialize(rows)
+
+    def _materialize(self, sel: np.ndarray | slice = slice(None),
+                     ) -> list[AccessRecord]:
+        n = len(self.rid[sel])
         fd, func_id, issuer_id, funcs, issuers = self._lazy
-        fds = [-1] * n if fd is None else fd.tolist()
+        fds = [-1] * n if fd is None else fd[sel].tolist()
         func_names = ([""] * n if func_id is None
-                      else [funcs[i] for i in func_id.tolist()])
+                      else [funcs[i] for i in func_id[sel].tolist()])
         issuer_names = (["app"] * n if issuer_id is None
-                        else [issuers[i] for i in issuer_id.tolist()])
+                        else [issuers[i] for i in issuer_id[sel].tolist()])
         path = self.path
-        rows = zip(self.rid.tolist(), self.rank.tolist(),
-                   self.offset.tolist(), self.stop.tolist(),
-                   self.is_write.tolist(), self.tstart.tolist(),
-                   self.tend.tolist(), fds, func_names, issuer_names)
+        rows = zip(self.rid[sel].tolist(), self.rank[sel].tolist(),
+                   self.offset[sel].tolist(), self.stop[sel].tolist(),
+                   self.is_write[sel].tolist(), self.tstart[sel].tolist(),
+                   self.tend[sel].tolist(), fds, func_names, issuer_names)
         return [AccessRecord(rid=rid, rank=rank, path=path, offset=off,
                              stop=stop, is_write=w, tstart=t0, tend=t1,
                              fd=d, func=fn, issuer=iss)

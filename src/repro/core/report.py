@@ -6,15 +6,18 @@ published alongside its data (function counters, I/O sizes, per-file
 conflicts, pattern mixes, metadata usage, semantics verdict).
 
 ``RunReport`` is the only place the §5.1 → §5.2 pipeline is assembled:
-lint rules, the lint cross-check, the static-checker soundness harness
-and the columnar round trip all read one report per trace, so each
-trace gets one offset reconstruction and one visibility index.
+lint rules, the lint cross-check, the static-checker soundness harness,
+PFS replay and the columnar round trip all read one report per trace, so
+each trace gets one offset reconstruction and one visibility index,
+both read from the trace's columns (:attr:`Trace.columnar`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from repro.core.advisor import FixSuggestion, suggest_fixes
 from repro.core.conflicts import (
@@ -28,14 +31,14 @@ from repro.core.metadata_conflicts import (
     MetadataConflictSet,
     detect_metadata_conflicts,
 )
-from repro.core.offsets import reconstruct_offsets
+from repro.core.offsets import reconstruct_tables_columnar
 from repro.core.overlaps import overlap_rank_matrix
 from repro.core.patterns import (
     TransitionMix,
     global_pattern_mix,
     local_pattern_mix,
 )
-from repro.core.records import AccessRecord, AccessTable, group_by_path
+from repro.core.records import AccessRecord, AccessTable
 from repro.core.semantics import (
     FileSystemInfo,
     Semantics,
@@ -68,13 +71,24 @@ class RunReport:
     # -- pipeline stages (memoized) ------------------------------------------
 
     @cached_property
-    def accesses(self) -> list[AccessRecord]:
-        """Offset-resolved POSIX data accesses (§5.1)."""
-        return reconstruct_offsets(self.trace.records)
+    def tables(self) -> dict[str, AccessTable]:
+        """Offset-resolved POSIX data accesses (§5.1), per file."""
+        return reconstruct_tables_columnar(self.trace)
 
     @cached_property
-    def tables(self) -> dict[str, AccessTable]:
-        return group_by_path(self.accesses)
+    def accesses(self) -> list[AccessRecord]:
+        """The accesses of :attr:`tables` as objects, in trace order."""
+        tables = list(self.tables.values())
+        if not tables:
+            return []
+        # lint: allow-per-op-loop (the per-access object view)
+        records = [r for t in tables for r in t.records]
+        rid = self.trace.columnar.rid
+        by_rid = np.argsort(rid, kind="stable")
+        position = by_rid[np.searchsorted(
+            rid, np.concatenate([t.rid for t in tables]), sorter=by_rid)]
+        return [records[i] for i in np.argsort(position,
+                                               kind="stable").tolist()]
 
     @cached_property
     def visibility(self) -> VisibilityIndex:
@@ -106,7 +120,7 @@ class RunReport:
 
     @cached_property
     def sharing(self) -> list[SharingPattern]:
-        return classify_sharing(self.accesses, self.trace.nranks)
+        return classify_sharing(self.tables, self.trace.nranks)
 
     @cached_property
     def local_mix(self) -> TransitionMix:

@@ -35,7 +35,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.offsets import reconstruct_offsets
+from repro.core.report import RunReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pfs.replay import ReplayResult
@@ -139,7 +139,7 @@ def audit_wal(trace: "Trace", result: "ReplayResult",
     cursor: dict[int, int] = {}
     covered: dict[int, list[tuple[int, int]]] = {}
     wal_writes = []
-    for acc in reconstruct_offsets(trace.records):
+    for acc in RunReport(trace).accesses:
         if not acc.is_write or acc.nbytes <= 0:
             continue
         if acc.path.startswith(wal_prefix):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.offsets import reconstruct_offsets
+from repro.core.report import RunReport
 from repro.core.semantics import Semantics
 from repro.errors import PFSGiveUpError
 from repro.faults.checker import CrashConsistencyChecker, Violation
@@ -105,7 +105,11 @@ def replay_trace(trace: Trace, config: PFSConfig,
     failed_ops: list[FailedOp] = []
 
     # resolved data extents, keyed by record id
-    extent_of = {a.rid: a for a in reconstruct_offsets(trace.records)}
+    extent_of = {rid: (path, off, stop - off, w)
+                 for path, t in RunReport(trace).tables.items()
+                 for rid, off, stop, w in zip(
+                     t.rid.tolist(), t.offset.tolist(), t.stop.tolist(),
+                     t.is_write.tolist())}
 
     for rec in trace.records:  # already in global tstart order
         if rec.layer != Layer.POSIX or rec.path is None:
@@ -120,19 +124,15 @@ def replay_trace(trace: Trace, config: PFSConfig,
             elif rec.func in COMMIT_OPS:
                 client.commit(rec.path)
             elif rec.rid in extent_of:
-                acc = extent_of[rec.rid]
-                if acc.is_write:
-                    if acc.nbytes <= 0:
-                        continue  # zero-length writes are no-ops
-                    client.write(acc.path, acc.offset,
-                                 _payload(acc.rid, acc.nbytes))
+                path, offset, nbytes, is_write = extent_of[rec.rid]
+                if is_write:
+                    client.write(path, offset, _payload(rec.rid, nbytes))
                 else:
-                    outcome = client.read(acc.path, acc.offset,
-                                          acc.nbytes)
+                    outcome = client.read(path, offset, nbytes)
                     if outcome.is_stale:
                         stale_reads.append(StaleReadEvent(
-                            rank=acc.rank, path=acc.path,
-                            offset=acc.offset, count=acc.nbytes,
+                            rank=rec.rank, path=path, offset=offset,
+                            count=nbytes,
                             stale_bytes=outcome.stale_bytes,
                             tstart=rec.tstart))
             # metadata ops other than open/close/commit don't touch the
@@ -145,6 +145,7 @@ def replay_trace(trace: Trace, config: PFSConfig,
     violations: list[Violation] = []
     if injector is not None:
         violations = CrashConsistencyChecker().check(sim)
+    sim.clients.clear()  # break the client <-> simulator reference cycle
     return ReplayResult(semantics=config.semantics, stats=sim.stats,
                         stale_reads=stale_reads,
                         corrupted_files=sim.corrupted_files(),

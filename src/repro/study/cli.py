@@ -714,7 +714,7 @@ def _roundtrip(inv: _Invocation) -> Outcome:
     from repro.core.conflicts import count_conflicts_columnar
     from repro.core.report import RunReport
     from repro.study.runner import cell_summary, matrix_json
-    from repro.tracer.columnar import ColumnarTrace, read_rtrc
+    from repro.tracer.columnar import read_rtrc
 
     args = inv.args
     if args.check is not None:
@@ -734,7 +734,7 @@ def _roundtrip(inv: _Invocation) -> Outcome:
             before = cell_summary(variant, trace, nranks=args.nranks,
                                   seed=args.seed)
             path = out_dir / (variant.label.replace("/", "_") + ".rtrc")
-            ColumnarTrace.from_trace(trace).save(path)
+            trace.columnar.save(path)
             loaded = read_rtrc(path)
             after = cell_summary(variant, loaded.to_trace(),
                                  nranks=args.nranks, seed=args.seed)

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.tracer.events import (
     DATA_OPS,
+    READ_OPS,
     Layer,
     MPIEvent,
-    OpClass,
     TraceRecord,
 )
+
+if TYPE_CHECKING:
+    from repro.tracer.columnar import ColumnarTrace
 
 
 @dataclass
@@ -25,12 +31,23 @@ class Trace:
     ``mpi_events`` are the matched communication events used to rebuild the
     happens-before order.  ``meta`` carries run identity (application name,
     I/O library, rank count, options) used by reports and table builders.
+
+    A trace is immutable once built: nothing may change its records,
+    events or meta after :attr:`columnar` is first read.
     """
 
     nranks: int
     records: list[TraceRecord]
     mpi_events: list[MPIEvent] = field(default_factory=list)
     meta: dict[str, Any] = field(default_factory=dict)
+
+    @cached_property
+    def columnar(self) -> "ColumnarTrace":
+        """This trace as columns, converted once.  A trace built by
+        :meth:`ColumnarTrace.to_trace` keeps the columns it came from."""
+        from repro.tracer.columnar import ColumnarTrace
+
+        return ColumnarTrace.from_trace(self)
 
     # -- filtering ------------------------------------------------------------
 
@@ -75,12 +92,11 @@ class Trace:
 
     @property
     def data_paths(self) -> list[str]:
-        """Paths with at least one POSIX read/write."""
-        seen: dict[str, None] = {}
-        for r in self.posix_data_records:
-            if r.path is not None:
-                seen.setdefault(r.path, None)
-        return list(seen)
+        """Paths with at least one POSIX read/write (first touch first)."""
+        ct = self.columnar
+        pids = ct.path_id[ct.data_mask() & (ct.path_id >= 0)]
+        first = np.sort(np.unique(pids, return_index=True)[1])
+        return [ct.paths[p] for p in pids[first].tolist()]
 
     # -- stats -----------------------------------------------------------------
 
@@ -94,14 +110,13 @@ class Trace:
 
     def bytes_moved(self) -> tuple[int, int]:
         """(bytes read, bytes written) at the POSIX layer."""
-        rd = wr = 0
-        for r in self.posix_data_records:
-            n = int(r.count or 0)
-            if r.op_class == OpClass.READ:
-                rd += n
-            else:
-                wr += n
-        return rd, wr
+        from repro.tracer.columnar import I64_NONE
+
+        ct = self.columnar
+        data = ct.data_mask()
+        count = np.where(ct.count[data] == I64_NONE, 0, ct.count[data])
+        read = ct.func_lookup(READ_OPS)[ct.func_id[data]]
+        return int(count[read].sum()), int(count[~read].sum())
 
     def ranks_touching(self, path: str) -> set[int]:
         return {r.rank for r in self.posix_data_records if r.path == path}

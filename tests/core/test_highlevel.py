@@ -7,7 +7,7 @@ from repro.core.highlevel import (
     primary_pattern,
 )
 from repro.core.patterns import AccessPattern
-from repro.core.records import AccessRecord
+from repro.core.records import AccessRecord, group_by_path
 
 
 def rec(rid, rank, path, off, n, write=True, t=None):
@@ -29,18 +29,20 @@ class TestCardinality:
 class TestClassifySharing:
     def test_n_n_private_files(self):
         records = [rec(i, i, f"/out/f{i}", 0, 100) for i in range(4)]
-        groups = classify_sharing(records, nranks=4)
+        groups = classify_sharing(group_by_path(records), nranks=4)
         assert len(groups) == 1
         assert groups[0].xy(4) == "N-N"
 
     def test_n_1_shared_file(self):
         records = [rec(i, i, "/out/shared", i * 100, 100)
                    for i in range(4)]
-        assert classify_sharing(records, 4)[0].xy(4) == "N-1"
+        sp = classify_sharing(group_by_path(records), 4)[0]
+        assert sp.xy(4) == "N-1"
 
     def test_1_1(self):
         records = [rec(i, 0, "/out/log", i * 10, 10) for i in range(5)]
-        assert classify_sharing(records, 4)[0].xy(4) == "1-1"
+        sp = classify_sharing(group_by_path(records), 4)[0]
+        assert sp.xy(4) == "1-1"
 
     def test_series_of_checkpoints_is_y1(self):
         """Same writer set across files = one file per phase (N-1)."""
@@ -51,7 +53,7 @@ class TestClassifySharing:
                 records.append(rec(rid, rank, f"/ckpt/c{ckpt}",
                                    rank * 10, 10))
                 rid += 1
-        sp = classify_sharing(records, 4)[0]
+        sp = classify_sharing(group_by_path(records), 4)[0]
         assert sp.nfiles == 3
         assert sp.files_per_phase == 1
         assert sp.xy(4) == "N-1"
@@ -63,13 +65,13 @@ class TestClassifySharing:
             records.append(rec(rid, rank, f"/out/g{rank % 2}",
                                (rank // 2) * 10, 10))
             rid += 1
-        sp = classify_sharing(records, 4)[0]
+        sp = classify_sharing(group_by_path(records), 4)[0]
         assert sp.xy(4) == "N-M"
 
     def test_read_only_group_uses_readers(self):
         records = [rec(i, i, "/in/data", 0, 100, write=False)
                    for i in range(4)]
-        sp = classify_sharing(records, 4)[0]
+        sp = classify_sharing(group_by_path(records), 4)[0]
         assert sp.xy(4) == "N-1"
         assert not sp.writer_ranks
 
@@ -87,23 +89,23 @@ class TestClassifySharing:
         for rank in (2, 3):
             records.append(rec(rid, rank, "/out/f", rank * 64, 64))
             rid += 1
-        sp = classify_sharing(records, 4)[0]
+        sp = classify_sharing(group_by_path(records), 4)[0]
         assert sp.writer_ranks == frozenset({0, 1})
         assert sp.xy(4) == "M-1"
 
     def test_groups_sorted_by_bytes(self):
         records = [rec(0, 0, "/small/f", 0, 10),
                    rec(1, 0, "/big/f", 0, 10_000)]
-        groups = classify_sharing(records, 4)
+        groups = classify_sharing(group_by_path(records), 4)
         assert groups[0].group == "/big"
-        assert primary_pattern(records, 4).group == "/big"
+        assert primary_pattern(group_by_path(records), 4).group == "/big"
 
     def test_empty(self):
-        assert classify_sharing([], 4) == []
-        assert primary_pattern([], 4) is None
+        assert classify_sharing(group_by_path([]), 4) == []
+        assert primary_pattern(group_by_path([]), 4) is None
 
     def test_pattern_carried(self):
         records = [rec(i, 0, "/out/f", i * 10, 10) for i in range(6)]
-        sp = classify_sharing(records, 4)[0]
+        sp = classify_sharing(group_by_path(records), 4)[0]
         assert sp.pattern is AccessPattern.CONSECUTIVE
         assert isinstance(sp, SharingPattern)

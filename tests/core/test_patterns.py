@@ -2,18 +2,18 @@
 
 import numpy as np
 
+from repro.core.highlevel import _data_rows
 from repro.core.patterns import (
     AccessPattern,
     TransitionMix,
     classify_gap_sequence,
     classify_rank_file,
     drop_library_metadata,
-    filter_metadata_by_file,
     global_pattern_mix,
     local_pattern_mix,
     transition_mix,
 )
-from repro.core.records import AccessRecord
+from repro.core.records import AccessRecord, group_by_path
 
 
 def seq(extents):
@@ -127,12 +127,11 @@ class TestMetadataFilter:
     def test_per_file_filtering(self):
         a = recs([(0, 64), (4096, 8192)], path="/a")
         b = recs([(0, 64), (64, 64)], path="/b")
-        kept = filter_metadata_by_file(a + b)
-        by_path = {}
-        for r in kept:
-            by_path.setdefault(r.path, []).append(r)
-        assert len(by_path["/a"]) == 1   # metadata dropped
-        assert len(by_path["/b"]) == 2   # uniform sizes kept
+        tables = group_by_path(a + b)
+        kept = {path: t.offset[_data_rows(t)].tolist()
+                for path, t in tables.items()}
+        assert kept["/a"] == [4096]      # metadata dropped
+        assert kept["/b"] == [0, 64]     # uniform sizes kept
 
 
 class TestRankFileClassifier:

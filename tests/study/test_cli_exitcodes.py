@@ -127,6 +127,23 @@ class TestRoundtripCheck:
             == EXIT_FINDINGS
         assert "checksum" in capsys.readouterr().out
 
+    def test_missing_byte_count_exits_1(self, capsys, tmp_path):
+        import numpy as np
+
+        from repro.tracer.columnar import I64_NONE
+        from repro.tracer.synth import synthetic_columnar_trace
+
+        ct = synthetic_columnar_trace(200, seed=1)
+        row = int(np.flatnonzero(
+            ct.columns["func_id"] == ct.funcs.index("write"))[0])
+        ct.columns["count"] = ct.columns["count"].copy()
+        ct.columns["count"][row] = I64_NONE
+        damaged = tmp_path / "nocount.rtrc"
+        ct.save(damaged)
+        assert cli_main(["roundtrip", "--check", str(damaged)]) \
+            == EXIT_FINDINGS
+        assert "lacks a byte count" in capsys.readouterr().out
+
     def test_not_even_rtrc_exits_1(self, capsys, tmp_path):
         bogus = tmp_path / "bogus.rtrc"
         bogus.write_bytes(b"definitely not a trace container")

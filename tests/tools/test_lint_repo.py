@@ -221,7 +221,8 @@ def check_pipeline(source, name="x.py"):
 
 class TestPipelineAssembly:
     def test_each_stage_call_flagged(self):
-        for name in ("detect_conflicts(vis, tables, s)",
+        for name in ("reconstruct_offsets(trace.records)",
+                     "detect_conflicts(vis, tables, s)",
                      "count_conflicts(vis, tables, s)",
                      "group_by_path(accesses)",
                      "VisibilityIndex(trace)"):

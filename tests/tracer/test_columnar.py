@@ -10,6 +10,7 @@ exception.
 """
 
 import json
+import re
 import struct
 import zlib
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import find_variant
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, TraceError
 from repro.tracer.columnar import (
     I64_NONE,
     PROMOTED_ARGS,
@@ -28,6 +29,7 @@ from repro.tracer.columnar import (
     write_rtrc,
 )
 from repro.tracer.events import Layer, MPIEvent, TraceRecord
+from repro.tracer.synth import synthetic_columnar_trace
 from repro.tracer.trace import Trace
 
 _FIXED = struct.Struct("<4sHHQ")
@@ -112,6 +114,29 @@ class TestColumnarConversion:
         ct.columns["rank"] = ct.columns["rank"] + 7
         with pytest.raises(AnalysisError):
             ct.validate()
+
+    @pytest.mark.parametrize("count", [I64_NONE, -5])
+    def test_validate_catches_bad_data_count(self, count):
+        ct = synthetic_columnar_trace(200, seed=1)
+        ct.validate()
+        write = ct.funcs.index("write")
+        row = int(np.flatnonzero(ct.columns["func_id"] == write)[0])
+        ct.columns["count"] = ct.columns["count"].copy()
+        ct.columns["count"][row] = count
+        rid = int(ct.columns["rid"][row])
+        message = re.escape(f"data record {rid} (write) lacks a byte count")
+        with pytest.raises(AnalysisError, match=message):
+            ct.validate()
+        # the same rule as the object-side check
+        with pytest.raises(TraceError, match=message):
+            ct.to_trace().validate()
+
+    def test_trace_keeps_the_columns_it_came_from(self):
+        ct = ColumnarTrace.from_trace(_small_trace())
+        assert ct.to_trace().columnar is ct
+        trace = _small_trace()
+        assert trace.columnar is trace.columnar
+        assert trace.columnar.columns_equal(ct)
 
     def test_real_variant_is_lossless(self):
         trace = find_variant("GTC", "POSIX").run(nranks=2, seed=7)

@@ -41,10 +41,11 @@ Rules enforced:
   ``# lint: allow-per-op-loop (reason)`` annotation on or above the
   loop line.
 * **no-pipeline-assembly** — outside ``src/repro/core`` no module
-  calls ``detect_conflicts``, ``count_conflicts``, ``group_by_path``
-  or ``VisibilityIndex(``: the §5.1 → §5.2 pipeline is assembled once
-  per trace by ``repro.core.report.RunReport``, and every consumer
-  reads it from there.  A deliberate exception carries a
+  calls ``reconstruct_offsets``, ``detect_conflicts``,
+  ``count_conflicts``, ``group_by_path`` or ``VisibilityIndex(``: the
+  §5.1 → §5.2 pipeline is assembled once per trace by
+  ``repro.core.report.RunReport``, and every consumer reads it from
+  there.  A deliberate exception carries a
   ``# lint: allow-pipeline-assembly (reason)`` annotation on or above
   the call line.
 
@@ -302,8 +303,8 @@ def check_no_per_op_loops(tree: ast.Module, path: Path,
 
 #: pipeline stages only ``repro.core`` (i.e. ``RunReport``) may call
 PIPELINE_CALLS = frozenset({
-    "detect_conflicts", "count_conflicts", "group_by_path",
-    "VisibilityIndex",
+    "reconstruct_offsets", "detect_conflicts", "count_conflicts",
+    "group_by_path", "VisibilityIndex",
 })
 #: annotation that exempts one call (reason required by convention)
 PIPELINE_ALLOW = "lint: allow-pipeline-assembly"
