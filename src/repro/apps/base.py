@@ -82,34 +82,6 @@ def trace_meta(cfg: AppConfig) -> dict[str, Any]:
     }
 
 
-def execute_application(cfg: AppConfig, program: AppProgram, *,
-                        engine: SimEngine, fs: VirtualFileSystem,
-                        world: MPIWorld, recorder: Recorder) -> None:
-    """Run ``program`` on already-built infrastructure (no trace build).
-
-    The injectable core of :func:`run_application`: the partition worker
-    calls it with a sub-engine hosting only its rank block and a
-    partition-aware :class:`MPIWorld`, so both execution paths share the
-    startup-barrier alignment and service wiring bit for bit.
-    """
-
-    def services(ctx: RankContext) -> dict[str, Any]:
-        return {
-            "comm": Communicator(world, ctx),
-            "posix": PosixAPI(fs, ctx, recorder),
-            "recorder": recorder,
-        }
-
-    def wrapper(ctx: RankContext) -> None:
-        # startup barrier: the paper's clock alignment point
-        ctx.comm.barrier()
-        recorder.set_time_origin(ctx.rank, ctx.clock.local_time)
-        program(ctx, cfg)
-        ctx.comm.barrier()
-
-    engine.run(wrapper, services)
-
-
 def run_application(cfg: AppConfig, program: AppProgram, *,
                     setup: Callable[[VirtualFileSystem, AppConfig], None]
                     | None = None,
@@ -129,8 +101,22 @@ def run_application(cfg: AppConfig, program: AppProgram, *,
         setup(fs, cfg)
     recorder = Recorder(cfg.nranks)
     world = MPIWorld(engine, recorder)
-    execute_application(cfg, program, engine=engine, fs=fs, world=world,
-                        recorder=recorder)
+
+    def services(ctx: RankContext) -> dict[str, Any]:
+        return {
+            "comm": Communicator(world, ctx),
+            "posix": PosixAPI(fs, ctx, recorder),
+            "recorder": recorder,
+        }
+
+    def wrapper(ctx: RankContext) -> None:
+        # startup barrier: the paper's clock alignment point
+        ctx.comm.barrier()
+        recorder.set_time_origin(ctx.rank, ctx.clock.local_time)
+        program(ctx, cfg)
+        ctx.comm.barrier()
+
+    engine.run(wrapper, services)
     return recorder.build_trace(meta=trace_meta(cfg))
 
 

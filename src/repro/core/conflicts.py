@@ -23,10 +23,14 @@ conflict is an *actual* conflict depends on the PFS model:
 
 Commit-conflicts are a subset of session-conflicts: a qualifying
 close/open pair implies the writer closed, and close counts as a commit.
-A property test pins that theorem.  Session-conflicts are in turn a
-subset of object-conflicts (every overlapping pair is a whole-object
-pair, and object clearing implies session clearing), which is why
-``SESSION >= OBJECT`` in the semantics lattice.
+A property test pins that theorem.  Cross-process session-conflicts are
+in turn object-conflicts between the same two ranks (every overlapping
+pair is a whole-object pair, and object clearing implies session
+clearing), which is why ``SESSION >= OBJECT`` in the semantics lattice;
+same-process ones need not be, since each rank's accesses coalesce into
+its own sessions.  One cross-process gap remains: a PUT session pairs
+only with sessions opened after it, so a reader session that opened
+before the writer's is not an object conflict.
 """
 
 from __future__ import annotations

@@ -14,15 +14,23 @@ lattice is a partial order ::
     STRONG > COMMIT > SESSION > EVENTUAL    (chain)
     EVENTUAL ⋈ OBJECT                       (incomparable)
 
-``SESSION >= OBJECT`` holds because every byte-overlap pair is also a
-whole-object pair and the object clearing condition (writer's session
-closed before the reader's session opened) implies the session one
-(writer closed before the reader's access) — an object-clean
-application is therefore session-clean.  ``EVENTUAL`` and ``OBJECT``
-dominate each other in neither direction: disjoint-byte concurrent
-puts to one object are eventual-clean but object-conflicting, while a
-byte overlap whose writer closed before the reader opened is
-object-clean but eventual-conflicting.
+``SESSION >= OBJECT`` holds for cross-process (D) conflicts: every
+byte-overlap pair is also a whole-object pair, and the object clearing
+condition (writer's session closed before the reader's session opened)
+implies the session one (writer closed before the reader's access).
+It does not hold for same-process (S) conflicts: the OBJECT detector
+coalesces each rank's accesses into sessions, so a rank reading back
+its own unclosed write is no object conflict, and an object-clean
+application need not be session-clean.  One cross-process gap remains:
+a PUT session pairs only with sessions opened after it, so a reader
+whose session opened before the writer's escapes OBJECT while SESSION
+reports it.  No registered configuration does that;
+``tests/core/test_conflict_lattice.py`` pins the law on every one.
+
+``EVENTUAL`` and ``OBJECT`` dominate each other in neither direction:
+disjoint-byte concurrent puts to one object are eventual-clean but
+object-conflicting, while a byte overlap whose writer closed before
+the reader opened is object-clean but eventual-conflicting.
 
 A file system offering a model at least as strong as an application's
 *requirement* runs that application correctly.  The requirement is the

@@ -110,71 +110,22 @@ def collective_depth(size: int) -> int:
     return max(1, math.ceil(math.log2(max(2, size))))
 
 
-def finish_collective(slot: _CollectiveSlot, size: int) -> None:
-    """Compute every rank's result for a fully-arrived collective.
-
-    Module-level (not a closure over a Communicator) so the partition
-    coordinator can run the exact same computation from shipped slot
-    state and produce bit-identical results.
-    """
-    kind = slot.kind
-    if kind == "barrier":
-        slot.results = {r: None for r in range(size)}
-    elif kind == "bcast":
-        value = slot.payloads[slot.root]
-        slot.results = {r: copy.deepcopy(value) for r in range(size)}
-    elif kind == "scatter":
-        chunks = slot.payloads[slot.root]
-        if chunks is None or len(chunks) != size:
-            raise MPIError(
-                f"scatter root must supply a list of {size} items")
-        slot.results = {r: chunks[r] for r in range(size)}
-    elif kind == "gather":
-        gathered = [slot.payloads[r] for r in range(size)]
-        slot.results = {r: (gathered if r == slot.root else None)
-                        for r in range(size)}
-    elif kind == "allgather":
-        gathered = [slot.payloads[r] for r in range(size)]
-        slot.results = {r: list(gathered) for r in range(size)}
-    elif kind == "reduce":
-        value = ReduceOp(slot.op).apply(
-            [slot.payloads[r] for r in range(size)])
-        slot.results = {r: (value if r == slot.root else None)
-                        for r in range(size)}
-    elif kind == "allreduce":
-        value = ReduceOp(slot.op).apply(
-            [slot.payloads[r] for r in range(size)])
-        slot.results = {r: copy.deepcopy(value) for r in range(size)}
-    elif kind == "alltoall":
-        slot.results = {
-            r: [slot.payloads[s][r] for s in range(size)]
-            for r in range(size)}
-    else:  # pragma: no cover - new kinds must be added here
-        raise MPIError(f"unknown collective kind {kind!r}")
-
-
 class MPIWorld:
     """Shared mailbox + collective-matching state for one run.
 
     ``blocked_in`` tracks *why* each rank is blocked inside the MPI layer
     (``("recv", src, tag)``, ``("anyrecv", tag)`` or ``("coll", index)``);
-    the deterministic ANY_SOURCE matching rule below reads it, and the
-    partition worker ships it to the coordinator at epoch boundaries.
+    the deterministic ANY_SOURCE matching rule below reads it.
     """
 
     def __init__(self, engine: SimEngine, recorder: Recorder | None = None):
         self.engine = engine
         self.recorder = recorder
-        self.nranks = engine.world_size
+        self.nranks = engine.nranks
         self._mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self._p2p_seq: dict[tuple[int, int, int], int] = {}
         self._slots: dict[int, _CollectiveSlot] = {}
-        self._coll_done = 0  # lowest slot index not yet garbage-collected
         self.blocked_in: dict[int, tuple] = {}
-
-    @property
-    def world_size(self) -> int:
-        return self.nranks
 
     def mailbox(self, src: int, dest: int, tag: int) -> deque[_Message]:
         return self._mailboxes.setdefault((src, dest, tag), deque())
@@ -183,10 +134,6 @@ class MPIWorld:
         seq = self._p2p_seq.get((src, dest, tag), 0)
         self._p2p_seq[(src, dest, tag)] = seq + 1
         return ("p2p", src, dest, tag, seq)
-
-    def post_send(self, src: int, dest: int, tag: int, msg: _Message) -> None:
-        """Deliver a just-sent message (hook: partitions route remotely)."""
-        self.mailbox(src, dest, tag).append(msg)
 
     def slot(self, index: int, kind: str, root: int | None,
              op: str | None = None) -> _CollectiveSlot:
@@ -201,18 +148,46 @@ class MPIWorld:
                     f"but others entered {s.kind}(root={s.root})")
         return s
 
-    def collective_arrived(self, index: int, slot: _CollectiveSlot,
-                           rank: int) -> None:
-        """Called after ``rank`` stamps its arrival (hook for partitions)."""
-        if len(slot.arrivals) == self.world_size:
-            self.complete_collective(slot)
-
     def complete_collective(self, slot: _CollectiveSlot) -> None:
-        cfg = self.engine.config
+        """Compute every rank's result for a fully-arrived collective."""
+        size = self.nranks
         slot.exit_true = (max(slot.arrivals.values())
-                          + cfg.barrier_cost * collective_depth(
-                              self.world_size))
-        finish_collective(slot, self.world_size)
+                          + self.engine.config.barrier_cost
+                          * collective_depth(size))
+        kind = slot.kind
+        if kind == "barrier":
+            slot.results = {r: None for r in range(size)}
+        elif kind == "bcast":
+            value = slot.payloads[slot.root]
+            slot.results = {r: copy.deepcopy(value) for r in range(size)}
+        elif kind == "scatter":
+            chunks = slot.payloads[slot.root]
+            if chunks is None or len(chunks) != size:
+                raise MPIError(
+                    f"scatter root must supply a list of {size} items")
+            slot.results = {r: chunks[r] for r in range(size)}
+        elif kind == "gather":
+            gathered = [slot.payloads[r] for r in range(size)]
+            slot.results = {r: (gathered if r == slot.root else None)
+                            for r in range(size)}
+        elif kind == "allgather":
+            gathered = [slot.payloads[r] for r in range(size)]
+            slot.results = {r: list(gathered) for r in range(size)}
+        elif kind == "reduce":
+            value = ReduceOp(slot.op).apply(
+                [slot.payloads[r] for r in range(size)])
+            slot.results = {r: (value if r == slot.root else None)
+                            for r in range(size)}
+        elif kind == "allreduce":
+            value = ReduceOp(slot.op).apply(
+                [slot.payloads[r] for r in range(size)])
+            slot.results = {r: copy.deepcopy(value) for r in range(size)}
+        elif kind == "alltoall":
+            slot.results = {
+                r: [slot.payloads[s][r] for s in range(size)]
+                for r in range(size)}
+        else:  # pragma: no cover - new kinds must be added here
+            raise MPIError(f"unknown collective kind {kind!r}")
         slot.complete = True
 
     def release_slot(self, index: int, rank: int) -> None:
@@ -229,7 +204,7 @@ class MPIWorld:
             tuple[float, int]]:
         """Pending ``(send completion time, src)`` heads for an ANY recv."""
         out = []
-        for s in range(self.world_size):
+        for s in range(self.nranks):
             if s == dest:
                 continue
             box = self._mailboxes.get((s, dest, tag))
@@ -243,7 +218,7 @@ class MPIWorld:
         True only when a candidate exists and no rank can still post a
         send that would complete before the best candidate — which makes
         the chosen match a function of program behaviour alone, not of
-        scheduling or of how ranks are partitioned across processes.
+        the order in which the engine happens to dispatch ranks.
         """
         cands = self.anysource_candidates(dest, tag)
         if not cands:
@@ -267,7 +242,7 @@ class MPIWorld:
         """
         from repro.sim.engine import RANK_DONE, RANK_BLOCKED
 
-        for q in range(self.world_size):
+        for q in range(self.nranks):
             if q == dest:
                 continue
             status, t = self.engine.rank_status(q)
@@ -466,7 +441,7 @@ class Communicator:
         self._charge(self._cfg.net_latency + nbytes * self._cfg.net_byte_cost)
         key = self.world.next_p2p_key(self.rank, dest, tag)
         msg = _Message(copy.deepcopy(payload), self.ctx.clock.true_time, key)
-        self.world.post_send(self.rank, dest, tag, msg)
+        self.world.mailbox(self.rank, dest, tag).append(msg)
         self._record("send", key, "sender", t0, self.ctx.clock.local_time)
         self._checkpoint()
 
@@ -481,8 +456,7 @@ class Communicator:
         once no rank can still post an earlier-completing send (see
         :meth:`MPIWorld.anysource_ready`), then takes the candidate with
         the smallest ``(completion time, src)``.  The chosen sender is
-        therefore identical however the ranks are scheduled or
-        partitioned across worker processes.
+        therefore identical however the ranks are scheduled.
         """
         world = self.world
         if source == ANY_SOURCE:
@@ -553,7 +527,8 @@ class Communicator:
         slot = self.world.slot(index, kind, root, op_name)
         slot.arrivals[self.rank] = self.ctx.clock.true_time
         slot.payloads[self.rank] = copy.deepcopy(payload)
-        self.world.collective_arrived(index, slot, self.rank)
+        if len(slot.arrivals) == self.size:
+            self.world.complete_collective(slot)
         if not slot.complete:
             self.world.blocked_in[self.rank] = ("coll", index)
             try:

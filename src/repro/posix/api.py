@@ -91,10 +91,6 @@ class PosixAPI:
     def open(self, path: str, open_flags: int, *, _func: str = "open",
              _stream: bool = False) -> int:
         p = self._resolve(path)
-        if open_flags & F.O_CREAT:
-            # partitioned runs arbitrate racing first-creates here; a
-            # single-process run falls straight through
-            self.vfs.gate_create(p)
         t0 = self._now()
         existed = self.vfs.is_file(p)
         size_before = self.vfs.file_size(p) if existed else 0

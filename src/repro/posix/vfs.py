@@ -35,7 +35,7 @@ class StatResult:
 
 class _Inode:
     __slots__ = ("ino", "data", "mtime", "atime", "ctime", "mode",
-                 "nlink", "refs", "symlink_target", "path")
+                 "nlink", "refs", "symlink_target")
 
     def __init__(self, ino: int, mode: int = 0o644):
         self.ino = ino
@@ -47,7 +47,6 @@ class _Inode:
         self.nlink = 1
         self.refs = 0  # open handles
         self.symlink_target: str | None = None
-        self.path: str | None = None  # primary name, for the change journal
 
     @property
     def size(self) -> int:
@@ -71,13 +70,6 @@ class VirtualFileSystem:
         self._files: dict[str, _Inode] = {}
         self._dirs: set[str] = {"/"}
         self._next_ino = 1
-        #: change-journal hook: called as ``cb(op, args)`` after every
-        #: mutating operation.  repro.partition uses it to replicate one
-        #: partition's file-system changes into the others at epoch
-        #: boundaries; ``None`` (the default) costs one attribute check.
-        self._journal = None
-        #: optional pre-create arbitration hook (see gate_create)
-        self._create_gate = None
         # dirty-extent churn accounting (no-ops when metrics are off)
         reg = obs.current()
         self._obs_writes = reg.counter("posix.vfs.writes")
@@ -87,44 +79,6 @@ class VirtualFileSystem:
         self._obs_hole_bytes = reg.counter("posix.vfs.hole_fill_bytes")
         self._obs_truncates = reg.counter("posix.vfs.truncates")
         self._obs_inodes = reg.gauge("posix.vfs.inodes")
-
-    # -- change journal ---------------------------------------------------------
-
-    def set_journal(self, callback) -> None:
-        """Install (or clear) the mutation journal hook."""
-        self._journal = callback
-
-    def set_create_gate(self, callback) -> None:
-        """Install (or clear) the first-create arbitration hook.
-
-        When several ranks race an ``O_CREAT`` open of the same missing
-        path, the winner is decided by global ``(time, rank)`` order.  A
-        single-process run gets that order for free from the engine; a
-        partitioned run installs a gate here that blocks the opener until
-        the coordinator either grants it the creator role or a remote
-        create arrives, so ``existed`` in the trace is identical either
-        way.
-        """
-        self._create_gate = callback
-
-    def gate_create(self, path: str) -> None:
-        """Arbitration point before a may-create open of ``path``."""
-        if self._create_gate is not None:
-            self._create_gate(path)
-
-    def _j(self, op: str, *args) -> None:
-        if self._journal is not None:
-            self._journal(op, args)
-
-    def _j_inode(self, inode: _Inode, op: str, *args) -> None:
-        """Journal a mutation of ``inode`` under its primary name.
-
-        Skipped when the inode is no longer reachable at that name
-        (unlinked-but-open): other partitions cannot observe it.
-        """
-        if (self._journal is not None and inode.path is not None
-                and self._files.get(inode.path) is inode):
-            self._journal(op, (inode.path,) + args)
 
     # -- namespace helpers ------------------------------------------------------
 
@@ -163,7 +117,6 @@ class VirtualFileSystem:
             raise PosixError(errno.EEXIST, f"{p!r} already exists", p)
         self._parent_ok(p)
         self._dirs.add(p)
-        self._j("mkdir", p)
 
     def makedirs(self, path: str) -> None:
         """Create a directory and any missing ancestors (idempotent)."""
@@ -176,7 +129,6 @@ class VirtualFileSystem:
                 raise PosixError(errno.ENOTDIR,
                                  f"{cur!r} is a file, not a directory", cur)
             self._dirs.add(cur)
-        self._j("makedirs", p)
 
     def rmdir(self, path: str) -> None:
         p = normalize(path)
@@ -187,7 +139,6 @@ class VirtualFileSystem:
         if self.listdir(p):
             raise PosixError(errno.ENOTEMPTY, f"{p!r} is not empty", p)
         self._dirs.discard(p)
-        self._j("rmdir", p)
 
     # -- file lifecycle -------------------------------------------------------------
 
@@ -214,17 +165,14 @@ class VirtualFileSystem:
             inode = _Inode(self._next_ino)
             self._next_ino += 1
             inode.ctime = inode.mtime = inode.atime = now
-            inode.path = p
             self._files[p] = inode
             self._obs_inodes.set_max(self._next_ino - 1)
-            self._j("create", p, now)
         else:
             if (open_flags & F.O_CREAT) and (open_flags & F.O_EXCL):
                 raise PosixError(errno.EEXIST, f"{p!r} exists (O_EXCL)", p)
             if (open_flags & F.O_TRUNC) and F.writable(open_flags):
                 del inode.data[:]
                 inode.mtime = now
-                self._j_inode(inode, "truncate", 0, now)
         inode.refs += 1
         return inode
 
@@ -239,7 +187,6 @@ class VirtualFileSystem:
         if inode is None:
             raise PosixError(errno.ENOENT, f"{p!r} does not exist", p)
         inode.nlink -= 1
-        self._j("unlink", p)
 
     def rename(self, old: str, new: str) -> None:
         src = normalize(old)
@@ -252,9 +199,6 @@ class VirtualFileSystem:
             raise PosixError(errno.EISDIR, f"{dst!r} is a directory", dst)
         self._files.pop(src)
         self._files[dst] = inode
-        if inode.path == src:
-            inode.path = dst
-        self._j("rename", src, dst)
 
     def truncate(self, path: str, length: int, now: float) -> None:
         inode = self.lookup(path)
@@ -270,7 +214,6 @@ class VirtualFileSystem:
             self._obs_hole_bytes.inc(length - inode.size)
             inode.data.extend(b"\x00" * (length - inode.size))
         inode.mtime = now
-        self._j_inode(inode, "truncate", length, now)
 
     # -- data plane ---------------------------------------------------------------------
 
@@ -288,7 +231,6 @@ class VirtualFileSystem:
         inode.mtime = now
         self._obs_writes.inc()
         self._obs_dirty_bytes.inc(len(data))
-        self._j_inode(inode, "write", offset, bytes(data), now)
         return len(data)
 
     def read_at(self, inode: _Inode, offset: int, count: int,
@@ -313,7 +255,6 @@ class VirtualFileSystem:
         self._parent_ok(dst)
         inode.nlink += 1
         self._files[dst] = inode
-        self._j("link", src, dst)
 
     def symlink(self, target: str, linkpath: str) -> None:
         """Symbolic link holding ``target`` (not resolved on access;
@@ -325,9 +266,7 @@ class VirtualFileSystem:
         inode = _Inode(self._next_ino, mode=0o777)
         self._next_ino += 1
         inode.symlink_target = target
-        inode.path = dst
         self._files[dst] = inode
-        self._j("symlink", target, dst)
 
     def readlink(self, path: str) -> str:
         inode = self.lookup(path)
@@ -340,13 +279,11 @@ class VirtualFileSystem:
         inode = self.lookup(path)
         inode.mode = mode & 0o7777
         inode.ctime = now
-        self._j("chmod", normalize(path), mode & 0o7777, now)
 
     def utime(self, path: str, atime: float, mtime: float) -> None:
         inode = self.lookup(path)
         inode.atime = atime
         inode.mtime = mtime
-        self._j("utime", normalize(path), atime, mtime)
 
     # -- metadata --------------------------------------------------------------------------
 

@@ -43,6 +43,10 @@ RANK_RUNNING = _RUNNING
 RANK_BLOCKED = _BLOCKED
 RANK_DONE = _DONE
 
+#: most ranks one engine may run, one OS thread each: 4096 threads ran
+#: on a 2-vCPU host, and the paper traced at most 1024 ranks (§4)
+MAX_RANK_THREADS = 4096
+
 
 @dataclass
 class SimConfig:
@@ -53,14 +57,6 @@ class SimConfig:
     < 20 us on Quartz).  The cost fields are the virtual-time charges that
     the POSIX/MPI layers apply per operation; absolute values are
     arbitrary, only their ratios shape the traces.
-
-    ``rank_base``/``world_size`` let one engine host a *contiguous block*
-    of a larger rank set: the engine runs ``nranks`` ranks whose global
-    ids are ``rank_base .. rank_base + nranks - 1`` out of ``world_size``
-    total.  Skews are always drawn for the full world and sliced, so a
-    partitioned run sees the same per-rank skews as a single-process one.
-    ``thread_cap`` bounds how many rank threads one process may spawn;
-    above it the engine refuses with a pointer at ``study partition``.
     """
 
     nranks: int = 8
@@ -73,10 +69,6 @@ class SimConfig:
     net_latency: float = 2e-6
     net_byte_cost: float = 1e-9
     barrier_cost: float = 5e-6
-    # partitioned-run support
-    rank_base: int = 0
-    world_size: int | None = None
-    thread_cap: int = 512
 
     def __post_init__(self) -> None:
         for name in ("clock_skew_us", "cpu_op_cost", "io_meta_cost",
@@ -91,22 +83,6 @@ class SimConfig:
                                   "matching relies on it")
         if self.nranks < 1:
             raise SimulationError(f"nranks must be >= 1, got {self.nranks}")
-        if self.rank_base < 0:
-            raise SimulationError(
-                f"rank_base must be >= 0, got {self.rank_base}")
-        if self.world_size is not None:
-            if self.rank_base + self.nranks > self.world_size:
-                raise SimulationError(
-                    f"rank block [{self.rank_base}, "
-                    f"{self.rank_base + self.nranks}) exceeds world_size "
-                    f"{self.world_size}")
-        elif self.rank_base != 0:
-            raise SimulationError("rank_base requires an explicit world_size")
-
-    @property
-    def world(self) -> int:
-        """Total ranks across all partitions (== nranks when unsplit)."""
-        return self.nranks if self.world_size is None else self.world_size
 
 
 class _RankState:
@@ -156,23 +132,18 @@ class SimEngine:
     """
 
     def __init__(self, config: SimConfig):
-        if config.nranks > config.thread_cap:
+        if config.nranks > MAX_RANK_THREADS:
             raise SimulationError(
-                f"nranks={config.nranks} exceeds the single-process thread "
-                f"cap of {config.thread_cap} OS threads; split the run "
-                f"across worker processes with `repro.study partition "
-                f"--partitions N` (or raise SimConfig.thread_cap if you "
-                f"really want one process)")
+                f"nranks={config.nranks} exceeds the limit of "
+                f"{MAX_RANK_THREADS} rank threads per run")
         self.config = config
-        base = config.rank_base
         skews = self._draw_skews(config)
-        self._ranks = [_RankState(RankClock(base + r, skews[r]))
+        self._ranks = [_RankState(RankClock(r, skews[r]))
                        for r in range(config.nranks)]
-        #: ``(true_time, local index)`` of every READY rank
+        #: ``(true_time, rank)`` of every READY rank
         self._ready: list[tuple[float, int]] = []
-        #: local indices of every BLOCKED rank
+        #: every BLOCKED rank
         self._blocked: set[int] = set()
-        self._current: int | None = None
         self._failure: BaseException | None = None
         self._woken = False
         self._main_event = threading.Event()
@@ -195,17 +166,12 @@ class SimEngine:
 
     @staticmethod
     def _draw_skews(config: SimConfig) -> list[float]:
-        """Per-rank skews for this engine's rank block.
-
-        Always drawn for the full world from the same seeded stream so
-        every partition of the same world sees identical skews.
-        """
+        """Per-rank skews, drawn from their own seeded stream."""
         if config.clock_skew_us <= 0:
             return [0.0] * config.nranks
         rng = make_rng(config.seed, 0xC10C)
         bound = config.clock_skew_us * 1e-6
-        skews = rng.uniform(-bound, bound, size=config.world).tolist()
-        return skews[config.rank_base:config.rank_base + config.nranks]
+        return rng.uniform(-bound, bound, size=config.nranks).tolist()
 
     # -- public API ------------------------------------------------------------
 
@@ -213,40 +179,13 @@ class SimEngine:
     def nranks(self) -> int:
         return self.config.nranks
 
-    @property
-    def rank_base(self) -> int:
-        return self.config.rank_base
-
-    @property
-    def world_size(self) -> int:
-        return self.config.world
-
-    @property
-    def local_ranks(self) -> range:
-        """Global ids of the ranks hosted by this engine."""
-        return range(self.config.rank_base,
-                     self.config.rank_base + self.config.nranks)
-
-    def _state(self, rank: int) -> _RankState:
-        """Rank state by *global* rank id (engine hosts a contiguous block)."""
-        return self._ranks[rank - self.config.rank_base]
-
     def clock(self, rank: int) -> RankClock:
-        return self._state(rank).clock
+        return self._ranks[rank].clock
 
     def rank_status(self, rank: int) -> tuple[str, float]:
-        """(status, true_time) of a hosted rank, for matching/safety rules."""
-        state = self._state(rank)
+        """(status, true_time) of a rank, for matching/safety rules."""
+        state = self._ranks[rank]
         return state.status, state.clock.true_time
-
-    def rank_reason(self, rank: int) -> str:
-        """Human-readable blocking reason (empty when not blocked)."""
-        return self._state(rank).reason
-
-    @property
-    def current_rank(self) -> int | None:
-        """Global id of the most recently dispatched rank."""
-        return self._current
 
     def run(self, program: Callable[[RankContext], Any],
             services_factory: Callable[[RankContext], dict[str, Any]] | None = None,
@@ -261,35 +200,34 @@ class SimEngine:
             raise SimulationError("a SimEngine can only run once")
         self._started = True
 
-        base = self.config.rank_base
         results: list[Any] = [None] * self.nranks
         contexts = [
-            RankContext(rank=base + r, nranks=self.world_size, engine=self,
+            RankContext(rank=r, nranks=self.nranks, engine=self,
                         clock=self._ranks[r].clock,
-                        rng=make_rng(self.config.seed, base + r))
+                        rng=make_rng(self.config.seed, r))
             for r in range(self.nranks)
         ]
         if services_factory is not None:
             for ctx in contexts:
                 ctx.services.update(services_factory(ctx))
 
-        def runner(local: int) -> None:
-            state = self._ranks[local]
+        def runner(rank: int) -> None:
+            state = self._ranks[rank]
             state.gate.acquire()  # wait to be scheduled the first time
             if self._failure is not None:
-                self._finish_rank(base + local)
+                self._finish_rank(rank)
                 return
             try:
-                results[local] = program(contexts[local])
+                results[rank] = program(contexts[rank])
             except BaseException as exc:  # propagate to the driving thread
                 if self._failure is None:
                     self._failure = exc
             finally:
-                self._finish_rank(base + local)
+                self._finish_rank(rank)
 
         for r, state in enumerate(self._ranks):
             state.thread = threading.Thread(
-                target=runner, args=(r,), name=f"simrank-{base + r}",
+                target=runner, args=(r,), name=f"simrank-{r}",
                 daemon=True)
             state.thread.start()
 
@@ -309,10 +247,9 @@ class SimEngine:
 
     def checkpoint(self, rank: int) -> None:
         """Offer the scheduler a chance to switch to an earlier-time rank."""
-        local = rank - self.config.rank_base
-        state = self._ranks[local]
+        state = self._ranks[rank]
         state.status = _READY
-        heapq.heappush(self._ready, (state.clock.true_time, local))
+        heapq.heappush(self._ready, (state.clock.true_time, rank))
         self._obs_checkpoints.inc()
         self._hand_off(state)
 
@@ -323,13 +260,12 @@ class SimEngine:
         The predicate is evaluated under the engine's one-runner-at-a-time
         discipline, so it may read any shared state without extra locking.
         """
-        local = rank - self.config.rank_base
-        state = self._ranks[local]
+        state = self._ranks[rank]
         while not predicate():
             state.status = _BLOCKED
             state.reason = reason
             state.predicate = predicate
-            self._blocked.add(local)
+            self._blocked.add(rank)
             self._obs_blocks.inc()
             self._hand_off(state)
         state.predicate = None
@@ -338,7 +274,7 @@ class SimEngine:
 
     def advance(self, rank: int, dt: float) -> float:
         """Charge ``dt`` seconds of virtual time to ``rank``."""
-        return self._state(rank).clock.advance(dt)
+        return self._ranks[rank].clock.advance(dt)
 
     def schedule(self, t: float, callback: Callable[[float], None]) -> None:
         """Run ``callback(t)`` once virtual time reaches ``t``.
@@ -357,7 +293,7 @@ class SimEngine:
     # -- internals -----------------------------------------------------------------
 
     def _finish_rank(self, rank: int) -> None:
-        self._state(rank).status = _DONE
+        self._ranks[rank].status = _DONE
         self._dispatch_next()
 
     def _hand_off(self, state: _RankState) -> None:
@@ -379,13 +315,13 @@ class SimEngine:
             while True:
                 # Unblock, in rank order, every rank whose wait predicate
                 # has become true.
-                for local in sorted(blocked):
-                    state = self._ranks[local]
+                for rank in sorted(blocked):
+                    state = self._ranks[rank]
                     if state.predicate():
                         state.status = _READY
-                        blocked.discard(local)
+                        blocked.discard(rank)
                         heapq.heappush(ready,
-                                       (state.clock.true_time, local))
+                                       (state.clock.true_time, rank))
                 # Fire scheduled virtual-time callbacks that come before
                 # the next runnable rank (or any time no rank is runnable —
                 # a callback may be exactly what unblocks one).
@@ -402,7 +338,6 @@ class SimEngine:
         if ready:
             t, nxt = heapq.heappop(ready)
             self._obs_vtime.set_max(t)
-            self._current = self.config.rank_base + nxt
             state = self._ranks[nxt]
             state.status = _RUNNING
             state.gate.release()

@@ -10,8 +10,6 @@ Usage::
     python -m repro.study chaos [--app NAME[/LIB]]... [--all] [--jobs N]
     python -m repro.study crossvalidate <app|--all> [--jobs N]
     python -m repro.study staticcheck <app|--all> [--jobs N]
-    python -m repro.study partition <app|--all> [--partitions N]
-                                    [--verify] [--jobs N]
     python -m repro.study roundtrip <app|--all|--check FILE>
     python -m repro.study metrics <file|--collect>
     python -m repro.study fingerprint
@@ -59,7 +57,8 @@ Exit codes are uniform across every subcommand:
 * **1** — a real finding or failure (ERROR diagnostics, an unsound
   chaos cell, a cross-validation false negative);
 * **2** — usage error (unknown application/library/plan/rule, bad
-  flag combination).
+  flag combination or value such as ``--nranks 0``), reported as one
+  stderr line.
 """
 
 from __future__ import annotations
@@ -105,8 +104,23 @@ def _opt(*flags: str, **kwargs) -> tuple:
     return flags, kwargs
 
 
+def _rank_count(text: str) -> int:
+    """``--nranks``: a rank count the engine can run."""
+    from repro.sim.engine import MAX_RANK_THREADS
+
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_RANK_THREADS:
+        raise argparse.ArgumentTypeError(
+            f"expected a rank count from 1 to {MAX_RANK_THREADS}, "
+            f"got {text!r}")
+    return n
+
+
 def _run_opts(nranks: int = 8) -> tuple:
-    return (_opt("--nranks", type=int, default=nranks,
+    return (_opt("--nranks", type=_rank_count, default=nranks,
                  help="MPI ranks per run (default %(default)s)"),
             _opt("--seed", type=int, default=7))
 
@@ -154,7 +168,7 @@ class Command:
     listing: tuple[str, str, Callable] | None = None
 
     def parser(self) -> argparse.ArgumentParser:
-        parser = argparse.ArgumentParser(
+        parser = _Parser(
             prog=f"python -m repro.study {self.name}".rstrip(),
             description=self.description)
         for flags, kwargs in self.options:
@@ -163,6 +177,13 @@ class Command:
             parser.add_argument(self.listing[0], dest="listing",
                                 action="store_true", help=self.listing[1])
         return parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a one-line usage error (exit 2)."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: error: {message}")
 
 
 # -- the runner ----------------------------------------------------------------
@@ -309,17 +330,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-def _check_partitions(partitions: int, nranks: int) -> int:
-    """Validate a ``--partitions`` value under the usage contract."""
-    if partitions < 1:
-        raise _UsageError(f"--partitions must be >= 1, got {partitions}")
-    if partitions > nranks:
-        raise _UsageError(
-            f"cannot split {nranks} rank(s) into {partitions} "
-            f"partitions (at least one would be empty)")
-    return partitions
-
-
 def _require_port(args: argparse.Namespace) -> None:
     if args.port is None:
         raise _UsageError("--port is required (see the server's "
@@ -454,10 +464,8 @@ def _all(inv: _Invocation) -> Outcome:
     from repro.study.runner import study_cells
 
     args = inv.args
-    partitions = _check_partitions(args.partitions, args.nranks)
     inv.run = study_cells(nranks=args.nranks, seed=args.seed,
-                          jobs=inv.jobs, cache=inv.cache,
-                          partitions=partitions)
+                          jobs=inv.jobs, cache=inv.cache)
     cells = list(inv.run.payloads)
     if args.workflows:
         wf = run_matrix("workflow-cell", [workflow_cell(4, 2, args.seed)],
@@ -468,14 +476,13 @@ def _all(inv: _Invocation) -> Outcome:
 
 
 def _cells_document(inv: _Invocation, cells: list[dict], ok: bool,
-                    render: Callable[[list[dict]], str],
-                    **extra) -> Outcome:
+                    render: Callable[[list[dict]], str]) -> Outcome:
     """A verdict matrix as its JSON document or text table; exit 1
     unless every cell is ``ok``."""
     args = inv.args
     if args.format == "json":
         text = json.dumps({"nranks": args.nranks, "seed": args.seed,
-                           **extra, "cells": cells, "ok": ok},
+                           "cells": cells, "ok": ok},
                           sort_keys=True, indent=2)
     else:
         text = render(cells)
@@ -641,51 +648,6 @@ def _staticcheck_text(cells: list[dict]) -> str:
         for name, sem in sorted(cell["semantics"].items()):
             for msg in sem["missed"]:
                 lines.append(f"  {cell['label']} [{name}] {msg}")
-    return "\n".join(lines)
-
-
-def _partition(inv: _Invocation) -> Outcome:
-    """The partitioned multi-process engine (:mod:`repro.partition`).
-
-    Summarizes the cells exactly like ``study all``.  With ``--verify``
-    each configuration is additionally traced single-process and the
-    two canonical ``.rtrc`` serializations are compared byte for byte;
-    exit 1 on any divergence.
-    """
-    from repro.study.parallel import partition_verify, partition_verify_task
-    from repro.study.runner import study_cells
-
-    args = inv.args
-    partitions = _check_partitions(args.partitions, args.nranks)
-    variants = inv.variants
-    if not args.verify:
-        inv.run = study_cells(nranks=args.nranks, seed=args.seed,
-                              variants=variants, jobs=inv.jobs,
-                              cache=inv.cache, partitions=partitions)
-        return _summary_text(args, inv.run.payloads)
-    run = inv.matrix("partition-verify",
-                     [partition_verify(v, args.nranks, args.seed,
-                                       partitions)
-                      for v in variants],
-                     partition_verify_task)
-    cells = run.payloads
-    return _cells_document(inv, cells, all(c["identical"] for c in cells),
-                           _partition_verify_text,
-                           partitions=args.partitions)
-
-
-def _partition_verify_text(cells: list[dict]) -> str:
-    hdr = (f"{'configuration':<26} {'parts':>5} {'rtrc bytes':>10}  "
-           f"status")
-    lines = [hdr, "-" * len(hdr)]
-    for cell in cells:
-        status = "identical" if cell["identical"] else "DIVERGED"
-        lines.append(f"{cell['label']:<26} {cell['partitions']:>5} "
-                     f"{cell['rtrc_bytes']:>10}  {status}")
-    bad = sum(1 for c in cells if not c["identical"])
-    lines.append("")
-    lines.append(f"{len(cells)} configuration(s), {bad} diverged "
-                 f"between single-process and partitioned runs")
     return "\n".join(lines)
 
 
@@ -1035,13 +997,7 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
         "all", "Evaluate every registered configuration into summary "
                "cells (parallel + cached).",
         _all,
-        (*_run_opts(), *_MATRIX,
-         _opt("--partitions", type=int, default=1, metavar="N",
-              help="trace each cell with the partitioned multi-process "
-                   "engine split across N worker subprocesses (default "
-                   "1 = the single-process engine; byte-identical "
-                   "either way)"),
-         *_FORMAT,
+        (*_run_opts(), *_MATRIX, *_FORMAT,
          _opt("--workflows", action="store_true",
               help="append the canonical producer/consumer workflow "
                    "cell to the matrix"),
@@ -1084,18 +1040,6 @@ COMMANDS: dict[str, Command] = {command.name: command for command in (
                        "the dynamic detector.",
         _staticcheck,
         (*_TARGET, *_run_opts(), *_MATRIX, *_FORMAT, *_STATS, *_OUT)),
-    Command(
-        "partition", "Trace configurations with the partitioned "
-                     "multi-process simulation engine; optionally verify "
-                     "byte-identity against the single-process engine.",
-        _partition,
-        (*_TARGET, *_run_opts(), *_MATRIX,
-         _opt("--partitions", type=int, default=2, metavar="N",
-              help="worker subprocesses per run (default 2)"),
-         _opt("--verify", action="store_true",
-              help="also trace single-process and require "
-                   "byte-identical canonical .rtrc output"),
-         *_FORMAT, *_STATS, *_OUT)),
     Command(
         "roundtrip", "Assert the binary .rtrc trace format is lossless: "
                      "study reports and conflict counts must be "

@@ -31,8 +31,7 @@ entry point.
 
 Which fields identify a cell is decided here too, once per cell kind:
 :func:`study_cell`, :func:`chaos_variant`, :func:`crossval_cell`,
-:func:`staticcheck_cell`, :func:`partition_verify` and
-:func:`workflow_cell` each return the :class:`CellSpec` (key fields +
+:func:`staticcheck_cell` and :func:`workflow_cell` each return the :class:`CellSpec` (key fields +
 worker task).  The batch CLI, :func:`repro.study.runner.study_cells`
 and the service's handlers all build their cells through them, so a
 cell computed by one front end is a warm cache hit for the others.
@@ -232,18 +231,11 @@ def variant_fields(variant) -> dict:
             "options": dict(sorted(variant.options.items()))}
 
 
-def study_cell(variant, nranks: int, seed: int,
-               partitions: int = 1) -> CellSpec:
-    """``study-cell``: one configuration's summary (:func:`study_cell_task`).
-
-    The partition count is part of the key even at 1: partitioned and
-    single-process runs are byte-identical, but a divergence between
-    the engines must never hide behind a warm cache.
-    """
+def study_cell(variant, nranks: int, seed: int) -> CellSpec:
+    """``study-cell``: one configuration's summary (:func:`study_cell_task`)."""
     return CellSpec(key_fields={**variant_fields(variant),
-                                "nranks": nranks, "seed": seed,
-                                "partitions": partitions},
-                    task=(variant, nranks, seed, partitions))
+                                "nranks": nranks, "seed": seed},
+                    task=(variant, nranks, seed))
 
 
 def chaos_plans(seed: int, wanted: Iterable[str] | None = None
@@ -301,18 +293,6 @@ def staticcheck_cell(variant, nranks: int, seed: int) -> CellSpec:
                     task=(variant, nranks, seed))
 
 
-def partition_verify(variant, nranks: int, seed: int,
-                     partitions: int) -> CellSpec:
-    """``partition-verify``: serial vs partitioned ``.rtrc`` bytes.
-
-    The worker is :func:`partition_verify_task`.
-    """
-    return CellSpec(key_fields={**variant_fields(variant),
-                                "nranks": nranks, "seed": seed,
-                                "partitions": partitions},
-                    task=(variant, nranks, seed, partitions))
-
-
 def workflow_cell(producer_ranks: int, reader_ranks: int,
                   seed: int) -> CellSpec:
     """``workflow-cell``: the canonical producer/consumer workflow.
@@ -333,11 +313,7 @@ def workflow_cell(producer_ranks: int, reader_ranks: int,
 
 
 def study_cell_task(task: tuple) -> dict:
-    """(variant, nranks, seed[, partitions]) -> study-cell summary.
-
-    With ``partitions > 1`` the trace comes from the partitioned
-    multi-process engine; the summary is the same bytes either way
-    because the merged trace is byte-identical to a serial run.
+    """(variant, nranks, seed) -> study-cell summary.
 
     With metrics enabled the already-generated trace is additionally
     replayed through the PFS timing model so ``study all --metrics``
@@ -346,19 +322,11 @@ def study_cell_task(task: tuple) -> dict:
     """
     from repro.study.runner import cell_summary
 
-    variant, nranks, seed, *rest = task
-    partitions = int(rest[0]) if rest else 1
-    trace = None
-    if partitions > 1:
-        from repro.partition.runner import run_partitioned
-
-        trace = run_partitioned(variant, nranks=nranks, seed=seed,
-                                partitions=partitions)
+    variant, nranks, seed = task
     if not obs.enabled():
-        return cell_summary(variant, trace, nranks=nranks, seed=seed)
+        return cell_summary(variant, None, nranks=nranks, seed=seed)
     reg = obs.current()
-    if trace is None:
-        trace = variant.run(nranks=nranks, seed=seed)
+    trace = variant.run(nranks=nranks, seed=seed)
     payload = cell_summary(variant, trace, nranks=nranks, seed=seed)
     from repro.pfs.config import PFSConfig
     from repro.pfs.replay import replay_trace
@@ -412,43 +380,6 @@ def staticcheck_task(task: tuple) -> dict:
     return staticcheck_variant(variant, nranks=nranks, seed=seed)
 
 
-def partition_verify_task(task: tuple) -> dict:
-    """(variant, nranks, seed, partitions) -> byte-identity verdict.
-
-    Traces the configuration twice — single-process and partitioned —
-    serializes both to the canonical columnar ``.rtrc`` form, and
-    compares the bytes.  This is the contract ``study partition
-    --verify`` and the CI smoke job enforce: partitioning is an
-    execution strategy, never an observable one.
-    """
-    import hashlib
-    import tempfile
-    from pathlib import Path
-
-    from repro.partition.runner import run_partitioned
-    from repro.tracer.columnar import ColumnarTrace
-
-    variant, nranks, seed, partitions = task
-
-    def rtrc(trace, path: Path) -> bytes:
-        ColumnarTrace.from_trace(trace).save(path)
-        return path.read_bytes()
-
-    with tempfile.TemporaryDirectory(prefix="repro-pverify-") as tmp:
-        root = Path(tmp)
-        serial = rtrc(variant.run(nranks=nranks, seed=seed),
-                      root / "serial.rtrc")
-        part = rtrc(run_partitioned(variant, nranks=nranks, seed=seed,
-                                    partitions=partitions),
-                    root / "partitioned.rtrc")
-    return {"label": variant.label,
-            "nranks": nranks,
-            "partitions": partitions,
-            "identical": serial == part,
-            "rtrc_bytes": len(serial),
-            "rtrc_sha256": hashlib.sha256(serial).hexdigest()}
-
-
 def workflow_task(task: tuple) -> dict:
     """(producer ranks, reader ranks, seed) -> workflow summary cell."""
     from repro.study.workflows import canonical_workflow, workflow_summary
@@ -468,8 +399,6 @@ __all__ = [
     "chaos_variant_task",
     "crossval_cell",
     "crossval_task",
-    "partition_verify",
-    "partition_verify_task",
     "resolve_jobs",
     "run_matrix",
     "staticcheck_cell",

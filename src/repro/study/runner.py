@@ -144,25 +144,18 @@ def cell_summary(variant: RunVariant, trace: Trace | None = None, *,
 def study_cells(nranks: int = 8, seed: int = 7,
                 variants: Iterable[RunVariant] | None = None,
                 jobs: int | None = None,
-                cache=None, partitions: int = 1):
+                cache=None):
     """The ``study all`` matrix as summaries: one JSON cell per variant.
 
     Returns a :class:`repro.study.parallel.MatrixRun`; its ``payloads``
     are the cells in registry order.  With a cache, unchanged cells are
     served from disk instead of re-simulated.
-
-    ``partitions > 1`` traces each cell with the partitioned
-    multi-process engine (:mod:`repro.partition`).  The partition count
-    is part of every cell's cache key: partitioned and single-process
-    runs of the same configuration produce byte-identical traces, but a
-    divergence would otherwise hide behind a warm cache.
     """
     from repro.study.parallel import run_matrix, study_cell, study_cell_task
 
     pool = list(variants) if variants is not None else all_variants()
     return run_matrix("study-cell",
-                      [study_cell(v, nranks, seed, partitions)
-                       for v in pool],
+                      [study_cell(v, nranks, seed) for v in pool],
                       study_cell_task, jobs=jobs, cache=cache)
 
 

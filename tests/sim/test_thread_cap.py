@@ -1,28 +1,33 @@
-"""Tests for the single-process rank-thread guardrail."""
+"""Tests for the rank-thread limit of one engine.
+
+Construction only: ``SimEngine.__init__`` starts no thread, so these
+checks build engines at and past the limit without running a rank.
+"""
+
+import threading
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimConfig, SimEngine
+from repro.sim.engine import MAX_RANK_THREADS, SimConfig, SimEngine
 
 
 class TestThreadCap:
-    def test_default_cap_is_512(self):
-        assert SimConfig(nranks=1).thread_cap == 512
+    def test_cap_is_4096(self):
+        assert MAX_RANK_THREADS == 4096
 
     def test_at_cap_is_allowed(self):
-        SimEngine(SimConfig(nranks=8, thread_cap=8))
+        before = threading.active_count()
+        engine = SimEngine(SimConfig(nranks=MAX_RANK_THREADS))
+        assert engine.nranks == MAX_RANK_THREADS
+        assert threading.active_count() == before
 
-    def test_over_cap_refused_with_pointer_at_partition(self):
+    def test_over_cap_refused_before_any_thread_starts(self):
+        before = threading.active_count()
         with pytest.raises(SimulationError) as exc_info:
-            SimEngine(SimConfig(nranks=9, thread_cap=8))
+            SimEngine(SimConfig(nranks=MAX_RANK_THREADS + 1))
         message = str(exc_info.value)
-        assert "thread" in message
-        assert "study partition" in message
-        assert "--partitions" in message
-
-    def test_cap_counts_local_block_not_world(self):
-        # a partition worker hosts only its block: 8 local ranks out of
-        # a 4096-rank world must not trip the cap
-        SimEngine(SimConfig(nranks=8, rank_base=0, world_size=4096,
-                            thread_cap=8))
+        assert str(MAX_RANK_THREADS + 1) in message
+        assert str(MAX_RANK_THREADS) in message
+        assert "partition" not in message
+        assert threading.active_count() == before

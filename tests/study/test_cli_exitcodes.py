@@ -11,12 +11,25 @@ import json
 
 import pytest
 
+from repro.sim.engine import MAX_RANK_THREADS
 from repro.study.cli import (
     EXIT_FINDINGS,
     EXIT_OK,
     EXIT_USAGE,
     main as cli_main,
 )
+
+#: one invocation of every subcommand that takes ``--nranks``
+RANKED_COMMANDS = [
+    ["--app", "GTC"],
+    ["all"],
+    ["lint", "GTC"],
+    ["chaos", "--app", "GTC"],
+    ["crossvalidate", "GTC"],
+    ["staticcheck", "GTC"],
+    ["roundtrip", "GTC"],
+    ["metrics", "--collect"],
+]
 
 
 class TestContractConstants:
@@ -65,10 +78,30 @@ class TestUsageExits:
         ["crossvalidate", "NoSuchApp"],
         ["metrics"],
         ["metrics", "/no/such/metrics.json"],
+        ["--app", "GTC", "--nranks", "0"],
+        ["lint", "FLASH", "--nranks", "0"],
+        ["lint", "FLASH", "--nranks", str(MAX_RANK_THREADS + 1)],
+        ["staticcheck", "FLASH", "--nranks", "0"],
+        ["crossvalidate", "FLASH", "--nranks", "0"],
+        ["roundtrip", "FLASH", "--nranks", "0"],
+        ["all", "--nranks", str(MAX_RANK_THREADS + 1)],
+        ["partition", "GTC"],
+        ["all", "--partitions", "2"],
     ], ids=lambda argv: " ".join(argv))
     def test_usage_errors_exit_2(self, capsys, argv):
         assert cli_main(argv) == EXIT_USAGE
         assert capsys.readouterr().err.strip()
+
+    @pytest.mark.parametrize("nranks", ["0", "-3", "x",
+                                        str(MAX_RANK_THREADS + 1)])
+    @pytest.mark.parametrize("argv", RANKED_COMMANDS,
+                             ids=lambda argv: argv[0].lstrip("-"))
+    def test_bad_rank_count_is_one_line(self, capsys, argv, nranks):
+        assert cli_main([*argv, "--nranks", nranks]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "--nranks" in err[0]
+        assert str(MAX_RANK_THREADS) in err[0]
 
     def test_metrics_file_and_collect_conflict(self, capsys, tmp_path):
         f = tmp_path / "m.json"
