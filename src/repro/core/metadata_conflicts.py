@@ -34,8 +34,10 @@ import enum
 import posixpath
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.posix import flags as F
-from repro.tracer.events import Layer, OPEN_OPS, TraceRecord
+from repro.tracer.events import OPEN_OPS, TraceRecord
 from repro.tracer.trace import Trace
 
 
@@ -102,6 +104,10 @@ class MetadataConflictSet:
 
 _CONSUMER_FUNCS = frozenset({"stat", "lstat", "access", "opendir",
                              "readdir"})
+#: every call that can consume or produce a namespace entry; any other
+#: record is a no-op for the detector
+_NAMESPACE_FUNCS = _CONSUMER_FUNCS | OPEN_OPS | frozenset(
+    {"unlink", "remove", "mkdir", "rename"})
 
 
 def is_creating_open(rec: TraceRecord) -> bool:
@@ -115,14 +121,14 @@ def is_creating_open(rec: TraceRecord) -> bool:
     return bool(flags & F.O_CREAT) and not existed
 
 
-#: backward-compatible alias (pre-lint name)
-_is_creating_open = is_creating_open
-
-
 def detect_metadata_conflicts(trace: Trace, *,
                               max_conflicts: int | None = None,
                               ) -> MetadataConflictSet:
-    """Find namespace produce/consume pairs in timestamp order."""
+    """Find namespace produce/consume pairs in timestamp order.
+
+    Only the rows :func:`_namespace_rows` selects are visited; every
+    other record neither consumes nor produces a name.
+    """
     # last producer per entity: path -> (record, kind-on-consume)
     producers: dict[str, tuple[TraceRecord, MetadataConflictKind]] = {}
     out = MetadataConflictSet()
@@ -137,29 +143,29 @@ def detect_metadata_conflicts(trace: Trace, *,
         out.conflicts.append(MetadataConflict(
             kind=kind, path=path, producer=producer, consumer=rec))
 
-    # lint: allow-per-op-loop (metadata ops are sparse; object path)
-    for rec in trace.records:
-        if rec.layer != Layer.POSIX or rec.path is None:
-            continue
+    records = trace.records
+    for i in _namespace_rows(trace).tolist():
         if max_conflicts is not None and len(out) >= max_conflicts:
             break
+        rec = records[i]
         path = rec.path
-        parent = posixpath.dirname(path)
+        creating = is_creating_open(rec)
 
         # consumption first (an op can both consume its parent dir and
         # produce a new file entry, e.g. a creating open)
         if rec.func in _CONSUMER_FUNCS:
             consume(path, rec)
         elif rec.func in OPEN_OPS:
-            if _is_creating_open(rec):
-                consume(parent, rec)   # creating a file uses the dir
+            if creating:
+                # creating a file uses the dir
+                consume(posixpath.dirname(path), rec)
             else:
                 consume(path, rec)     # opening uses the file entry
         elif rec.func == "unlink" or rec.func == "remove":
             consume(path, rec)
 
         # production
-        if _is_creating_open(rec):
+        if creating:
             producers[path] = (rec, MetadataConflictKind.FILE_CREATE_USE)
         elif rec.func == "mkdir":
             producers[path] = (rec, MetadataConflictKind.DIR_CREATE_USE)
@@ -172,3 +178,12 @@ def detect_metadata_conflicts(trace: Trace, *,
         elif rec.func in ("unlink", "remove"):
             producers.pop(path, None)
     return out
+
+
+def _namespace_rows(trace: Trace) -> np.ndarray:
+    """Trace rows (in trace order) of POSIX calls on a path that can
+    consume or produce a namespace entry."""
+    ct = trace.columnar
+    return np.flatnonzero(
+        ct.posix_mask() & (ct.path_id >= 0)
+        & ct.func_lookup(_NAMESPACE_FUNCS)[ct.func_id])

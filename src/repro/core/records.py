@@ -4,24 +4,27 @@ After offset reconstruction every POSIX data operation becomes an
 :class:`AccessRecord` — the paper's tuple ``(t, r, os, oe, type)`` plus
 the fields the conflict conditions need (path, fd, record id).  The
 :class:`AccessTable` stores them as numpy arrays per file so the overlap
-sweep and the conflict predicates run on contiguous data.
+sweep and the conflict predicates run on contiguous data; the record
+objects are built only when a caller asks for them, in one bulk pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import gc
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import AnalysisError
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One resolved data access.
 
     ``offset``/``stop`` are half-open; the paper's inclusive ``oe`` is
-    ``stop - 1``.  Zero-length accesses never enter a table.
+    ``stop - 1``.  Zero-length accesses never enter a table.  A named
+    tuple: immutable, hashed and printed by its field values.
     """
 
     rid: int
@@ -99,7 +102,7 @@ class AccessTable:
         Rows are re-sorted by ``(tstart, rid)`` exactly like the object
         constructor.  ``fd``/``func_id``/``issuer_id`` (with their string
         tables) feed the lazy ``records`` materialization; when omitted,
-        materialized records carry the dataclass defaults.
+        materialized records carry the :class:`AccessRecord` defaults.
         """
         bad = np.flatnonzero(stop <= offset)
         if bad.size:
@@ -148,15 +151,21 @@ class AccessTable:
                       else [funcs[i] for i in func_id[sel].tolist()])
         issuer_names = (["app"] * n if issuer_id is None
                         else [issuers[i] for i in issuer_id[sel].tolist()])
-        path = self.path
         rows = zip(self.rid[sel].tolist(), self.rank[sel].tolist(),
-                   self.offset[sel].tolist(), self.stop[sel].tolist(),
-                   self.is_write[sel].tolist(), self.tstart[sel].tolist(),
-                   self.tend[sel].tolist(), fds, func_names, issuer_names)
-        return [AccessRecord(rid=rid, rank=rank, path=path, offset=off,
-                             stop=stop, is_write=w, tstart=t0, tend=t1,
-                             fd=d, func=fn, issuer=iss)
-                for rid, rank, off, stop, w, t0, t1, d, fn, iss in rows]
+                   repeat(self.path, n), self.offset[sel].tolist(),
+                   self.stop[sel].tolist(), self.is_write[sel].tolist(),
+                   self.tstart[sel].tolist(), self.tend[sel].tolist(),
+                   fds, func_names, issuer_names)
+        # The records hold only ints, floats, bools and strs, so they
+        # cannot form a cycle; collecting while a large batch of them
+        # is allocated would only rescan the heap.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return list(map(AccessRecord._make, rows))
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def __len__(self) -> int:
         return len(self.rid)

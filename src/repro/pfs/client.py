@@ -331,8 +331,9 @@ class PFSClient:
     def _publish(self, path: str, t: float) -> None:
         """Publish the client's writes and journal the commit record."""
         journaled = self._cfg.mds_journal
-        n = self.sim.store(path).publish(self.client_id, t,
-                                         durable=journaled)
+        n = self.sim.store(path).publish(
+            self.client_id, t, durable=journaled,
+            opened_at=self._open_times.get(path, -math.inf))
         if journaled and n:
             self.sim.mds.journal_publish(t, self.client_id, path, n)
 

@@ -9,12 +9,14 @@ write became globally visible under the configured semantics:
 * session — the writer's next close of the file;
 * eventual — completion plus a propagation delay;
 * object — the writer's close performs a whole-object PUT: the
-  session's staged writes become the new object *version* and every
-  previously published version is *superseded*.  Readers are pinned to
-  the version visible at their open (``commit_point <= open <
-  superseded_at``); an fsync publishes nothing, and partial overwrite
-  does not exist — a PUT replaces the object, so bytes of older
-  versions never show through the new one.
+  session's staged writes become the new object *version*.  The session
+  read the object at its open and writes it back whole (GET-modify-PUT),
+  so the versions it opened on carry forward; every version published
+  after its open is *superseded* — a concurrent PUT's update is lost.
+  Readers are pinned to the version visible at their open
+  (``commit_point <= open < superseded_at``); an fsync publishes
+  nothing, and bytes of a superseded version never show through a
+  newer one.
 
 A write whose publishing event never happens keeps ``commit_point =
 inf`` until file finalization.
@@ -222,8 +224,8 @@ class FileStore:
         self.extents.append(ext)
         return ext
 
-    def publish(self, client: int, t: float, *,
-                durable: bool = True) -> int:
+    def publish(self, client: int, t: float, *, durable: bool = True,
+                opened_at: float = -math.inf) -> int:
         """Commit/close by ``client``: publish its unpublished writes.
 
         Returns how many extents were published.  No-op under strong and
@@ -231,7 +233,10 @@ class FileStore:
         ``durable=False`` models an MDS without a journal: the publish
         is *visible* but the commit record lives only in MDS memory, so
         the data stays volatile — a deliberately broken configuration
-        the crash-consistency checker exists to catch.
+        the crash-consistency checker exists to catch.  Under object
+        semantics ``opened_at`` is the open of the session being PUT:
+        versions published by then carry forward, later ones are
+        superseded (the default, no open, supersedes every version).
         """
         if self.semantics in (Semantics.STRONG, Semantics.EVENTUAL):
             return 0
@@ -246,13 +251,14 @@ class FileStore:
                 n += 1
         if self.semantics is Semantics.OBJECT and n:
             # the close was a PUT: the staged batch is the new object
-            # version, and every previously published version is
-            # superseded (a read-only session close publishes nothing
-            # and supersedes nothing)
+            # version on top of the versions the session opened on, and
+            # every version published since that open is superseded (a
+            # read-only session close publishes nothing and supersedes
+            # nothing)
             for ext in self.extents:
                 if ext.discarded or math.isfinite(ext.superseded_at):
                     continue
-                if math.isfinite(ext.commit_point) and ext.commit_point < t:
+                if opened_at < ext.commit_point < t:
                     ext.superseded_at = t
         return n
 

@@ -6,6 +6,8 @@ import repro
 from repro.core.semantics import Semantics
 from repro.pfs.config import PFSConfig
 from repro.pfs.replay import replay_trace
+from repro.posix import flags as F
+from tests.conftest import SimHarness
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +111,48 @@ class TestPerformanceShape:
         assert strong.makespan > commit.makespan
         assert strong.simulator.mds.lock_requests > 0
         assert commit.simulator.mds.lock_requests == 0
+
+
+def _put_in_turn(ctx):
+    """Each rank opens, writes its own half and closes, one at a time."""
+    px = ctx.posix
+    for turn in range(ctx.comm.size):
+        if turn == ctx.rank:
+            fd = px.open("/obj", F.O_WRONLY | F.O_CREAT)
+            px.pwrite(fd, 64, 64 * ctx.rank)
+            px.close(fd)
+        ctx.comm.barrier()
+
+
+def _overlapping_sessions(ctx):
+    """Both ranks open before either closes: two racing PUTs."""
+    px = ctx.posix
+    fd = px.open("/obj", F.O_WRONLY | F.O_CREAT)
+    ctx.comm.barrier()
+    px.pwrite(fd, 64, 64 * ctx.rank)
+    for turn in range(ctx.comm.size):
+        if turn == ctx.rank:
+            px.close(fd)
+        ctx.comm.barrier()
+
+
+class TestObjectPut:
+    """A PUT writes back the object its session opened on."""
+
+    def _replay(self, program):
+        h = SimHarness(nranks=2)
+        h.run(program)
+        trace = h.trace(app="test")
+        res = replay_trace(trace, PFSConfig(semantics=Semantics.OBJECT))
+        return repro.analyze(trace).conflicts(Semantics.OBJECT), res
+
+    def test_sessions_in_turn_keep_every_half(self):
+        conflicts, res = self._replay(_put_in_turn)
+        assert not conflicts
+        assert res.corrupted_files == []
+        assert res.clean
+
+    def test_overlapping_sessions_lose_an_update(self):
+        conflicts, res = self._replay(_overlapping_sessions)
+        assert {c.label for c in conflicts} == {"WAW-D"}
+        assert res.corrupted_files == ["/obj"]

@@ -89,6 +89,43 @@ class TestSession:
         assert after.data == b"data" and not after.is_stale
 
 
+class TestObject:
+    def test_put_carries_forward_the_version_it_opened_on(self):
+        st = store(Semantics.OBJECT)
+        st.write(0, 0, b"aaaa", 1.0)
+        st.publish(0, 2.0, opened_at=0.5)
+        st.write(1, 4, b"bbbb", 3.5)      # session opened at 3.0
+        st.publish(1, 4.0, opened_at=3.0)
+        assert st.read(2, 0, 8, 5.0, client_open_time=4.5).data \
+            == b"aaaabbbb"
+        assert st.settle() == b"aaaabbbb"
+
+    def test_version_published_at_the_open_is_carried_forward(self):
+        # the same bound as a reader's pin: commit_point <= open
+        st = store(Semantics.OBJECT)
+        st.write(0, 0, b"aaaa", 1.0)
+        st.publish(0, 2.0, opened_at=0.5)
+        st.write(1, 4, b"bbbb", 2.5)
+        st.publish(1, 3.0, opened_at=2.0)
+        assert st.settle() == b"aaaabbbb"
+
+    def test_put_supersedes_versions_published_after_its_open(self):
+        st = store(Semantics.OBJECT)
+        st.write(0, 0, b"aaaa", 1.0)
+        st.write(1, 4, b"bbbb", 1.5)
+        st.publish(0, 2.0, opened_at=0.5)
+        st.publish(1, 3.0, opened_at=0.6)  # racing PUT: 0's update lost
+        assert st.settle() == b"\x00" * 4 + b"bbbb"
+
+    def test_put_without_an_open_supersedes_everything(self):
+        st = store(Semantics.OBJECT)
+        st.write(0, 0, b"aaaa", 1.0)
+        st.publish(0, 2.0)
+        st.write(1, 4, b"bbbb", 3.0)
+        st.publish(1, 4.0)
+        assert st.settle() == b"\x00" * 4 + b"bbbb"
+
+
 class TestEventual:
     def test_visible_after_delay(self):
         st = store(Semantics.EVENTUAL, eventual_delay=10.0)

@@ -259,6 +259,41 @@ class TestPipelineAssembly:
         assert check_pipeline(src)
 
 
+class TestOneGcPause:
+    def test_disable_and_enable_calls_flagged(self):
+        src = "import gc\ngc.disable()\nx = 1\ngc.enable()\n"
+        out = check(lint_repo.check_one_gc_pause, src)
+        assert [(v.rule, v.line) for v in out] == [
+            ("one-gc-pause", 2), ("one-gc-pause", 4)]
+
+    def test_from_import_flagged(self):
+        out = check(lint_repo.check_one_gc_pause,
+                    "from gc import collect, disable\n")
+        assert len(out) == 1 and out[0].line == 1
+
+    def test_other_gc_calls_ok(self):
+        src = "import gc\ngc.collect()\nok = gc.isenabled()\n"
+        assert not check(lint_repo.check_one_gc_pause, src)
+
+    def test_only_records_module_exempt(self, tmp_path):
+        for d in ("tools", "tests", "benchmarks"):
+            (tmp_path / d).mkdir()
+        body = ("from __future__ import annotations\n"
+                "import gc\n"
+                "def f():\n"
+                "    gc.disable()\n")
+        for sub in ("core", "lint"):
+            (tmp_path / "src" / "repro" / sub).mkdir(parents=True)
+            for name in ("records.py", "other.py"):
+                (tmp_path / "src" / "repro" / sub / name).write_text(body)
+        violations = lint_repo.lint_repo(tmp_path)
+        assert sorted((v.rule, v.path.parent.name, v.path.name)
+                      for v in violations) == [
+            ("one-gc-pause", "core", "other.py"),
+            ("one-gc-pause", "lint", "other.py"),
+            ("one-gc-pause", "lint", "records.py")]
+
+
 class TestWholeRepo:
     def test_repository_is_clean(self):
         violations = lint_repo.lint_repo()

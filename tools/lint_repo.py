@@ -48,6 +48,12 @@ Rules enforced:
   there.  A deliberate exception carries a
   ``# lint: allow-pipeline-assembly (reason)`` annotation on or above
   the call line.
+* **one-gc-pause** — no ``src/repro`` module other than
+  ``repro/core/records.py`` calls ``gc.disable``/``gc.enable`` (or
+  imports them from ``gc``): pausing the cyclic collector is safe only
+  where the objects built cannot form cycles, and the one such place is
+  the bulk :class:`AccessRecord` build.  A pause anywhere else would
+  silently change when every other allocation is collected.
 
 Exit status: 0 clean, 1 violations found, 2 bad invocation.
 """
@@ -332,6 +338,33 @@ def check_no_pipeline_assembly(tree: ast.Module, path: Path,
     return violations
 
 
+#: the one module allowed to pause the cyclic garbage collector
+GC_PAUSE_MODULE = Path("core") / "records.py"
+#: the ``gc`` functions that switch automatic collection off and on
+_GC_SWITCHES = frozenset({"disable", "enable"})
+
+
+def check_one_gc_pause(tree: ast.Module, path: Path) -> list[Violation]:
+    violations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "gc" \
+                and node.func.attr in _GC_SWITCHES:
+            name = f"gc.{node.func.attr}()"
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" \
+                and any(a.name in _GC_SWITCHES for a in node.names):
+            name = "an import of gc.disable/gc.enable"
+        else:
+            continue
+        violations.append(Violation(
+            "one-gc-pause", path, node.lineno,
+            f"{name} outside repro/core/records.py; the cyclic GC is "
+            f"paused only around the bulk AccessRecord build"))
+    return violations
+
+
 def lint_repo(repo: Path = REPO) -> list[Violation]:
     violations: list[Violation] = []
     for directory in STYLE_DIRS:
@@ -353,6 +386,8 @@ def lint_repo(repo: Path = REPO) -> list[Violation]:
         if top != "core":
             violations.extend(
                 check_no_pipeline_assembly(tree, path, source))
+        if path.relative_to(package) != GC_PAUSE_MODULE:
+            violations.extend(check_one_gc_pause(tree, path))
     return sorted(violations,
                   key=lambda v: (str(v.path), v.line, v.rule))
 
